@@ -7,9 +7,9 @@ first sub-query in which it holds (its provenance triple).
 
 The mining scope is ``proj(V) ∪ join-attributes`` (see DESIGN.md); the
 final result is filtered to ``proj(V)``, which is exact for bag
-semantics. DataFrame instances stay lazy/cached; every validity check is
-a column-pruned aggregation, so the full wide view is never scanned as a
-whole unless join-FD mining genuinely needs those columns.
+semantics. Instances are built and cached by Spark; each engine gets its
+instance pruned to the mining scope, so a validity check reads (or the
+engine collects) only attributes that can appear in a view FD.
 """
 from __future__ import annotations
 
@@ -92,7 +92,9 @@ class _Run:
     engines: list[FDEngine] = field(default_factory=list)
     cached: list[DataFrame] = field(default_factory=list)
 
-    def engine(self, df: DataFrame, n_rows: int | None = None) -> FDEngine:
+    def engine(self, df: DataFrame, n_rows: int) -> FDEngine:
+        """An engine over ``df`` pruned to the mining scope."""
+        df = df.select(*(c for c in df.columns if c in self.scope))
         e = FDEngine(
             df.toPandas() if self.backend == "pandas" else df, n_rows=n_rows
         )
@@ -120,7 +122,7 @@ def run_infine(
 ) -> InFineResult:
     """Discover the minimal FDs of the view with provenance triples."""
     schemas = {name: tuple(df.columns) for name, df in tables.items()}
-    proj_attrs = spec.proj(schemas)
+    proj_attrs = spec.proj(schemas)  # rejects a bad spec before any mining
     scope = proj_attrs | spec.join_attrs()
     run = _Run(tables=tables, scope=scope, backend=backend)
     try:
@@ -225,7 +227,7 @@ def _join_node(run: _Run, spec: Join) -> _Node:
             node.df, node.n_rows, [t.fd for t in node.triples],
             other.df, join_df, K, run.scope,
             loses=lose, padded=padded and (lose or spec.how == "full"),
-            backend=run.backend,
+            join_n=join_n, backend=run.backend,
         )
         if out.engine is not None:
             run.engines.append(out.engine)

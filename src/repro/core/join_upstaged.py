@@ -51,23 +51,33 @@ def process_side(
     *,
     loses: bool,
     padded: bool,
+    join_n: int | None = None,
     backend: str = "spark",
 ) -> SideOutcome:
-    """Compute the side's effective instance and its complete FD set."""
+    """Compute the side's effective instance and its complete FD set.
+
+    The engine gets the instance pruned to the side's attributes in
+    ``scope_attrs``, with its row count (``join_n`` for a padded side,
+    which is the side projection of the join) or its bound ``side_n``."""
     side_fds = set(side_fds)
     if not loses and not padded:
         return SideOutcome(kept=side_fds, upstaged=set(), dropped=set(), engine=None)
 
+    cols = [c for c in side_df.columns if c in scope_attrs and c in join_df.columns]
     if padded:
         # Outer join: the honest side instance is the side projection of
         # the join itself (matched rows, duplicated, plus NULL padding).
-        side_cols = [c for c in side_df.columns if c in join_df.columns]
-        eff = join_df.select(*side_cols)
+        eff, n_rows, max_rows = join_df.select(*cols), join_n, None
     else:
         eff = side_df.join(
             other_df.select(*K).distinct(), on=list(K), how="left_semi"
-        )
-    engine = FDEngine(eff if backend == "spark" else eff.toPandas(), backend=backend)
+        ).select(*cols)
+        n_rows, max_rows = None, side_n
+    engine = FDEngine(
+        eff.toPandas() if backend == "pandas" else eff,
+        n_rows=n_rows,
+        max_rows=max_rows,
+    )
 
     kept, dropped = side_fds, set()
     if padded:
@@ -77,6 +87,5 @@ def process_side(
 
     upstaged: set[FD] = set()
     if loses and (padded or engine.n_rows() < side_n):
-        mine_scope = scope_attrs & frozenset(side_df.columns)
-        upstaged = mine_fds(engine, mine_scope, known=kept)
+        upstaged = mine_fds(engine, frozenset(cols), known=kept)
     return SideOutcome(kept=kept, upstaged=upstaged, dropped=dropped, engine=engine)

@@ -1,27 +1,45 @@
 """Distinct-count engine: the single source of FD-validity truth.
 
 ``X -> y`` holds on an instance iff ``|distinct(X)| == |distinct(X ∪ {y})|``
-— the partition-cardinality test of TANE, expressed over Spark DataFrames
-as batched ``count_distinct(struct(...))`` aggregations so that one Spark
-job validates a whole lattice level and Catalyst's column pruning reads
-only the attributes actually referenced ("mine only necessary data
-partitions" per the paper).
+— the partition-cardinality test of TANE. A Spark instance is counted by
+one of two kernels, picked once per engine from what it can observe:
 
-``struct`` is used (rather than multi-column ``count(DISTINCT a, b)``)
-because a struct is never NULL, so rows with NULL fields are counted and
-NULL compares equal to NULL inside the distinct — the null-agnostic FD
-semantics of the paper (Definition 1 remark).
+- **In process.** When rows × columns is below ``_COLLECT_CELLS`` (and
+  no column is nested), the instance is collected once with
+  ``toArrow()`` — one Spark job — and each column is dictionary-encoded
+  once. Every distinct count is then a numpy count over packed int64
+  keys (``key·card + codes``, the stripped-partition / PLI idea of TANE
+  and HyFD), with no further Spark job. Spark keeps the relational work
+  (σ, semijoin reduction, joins, caching); callers pass instances
+  already pruned to the attributes they mine, so the collect reads only
+  those.
+- **On Spark.** Larger instances, which the driver may not hold, are
+  counted by batched ``count_distinct(struct(...))`` aggregations: one
+  Spark job validates a whole lattice level and Catalyst's column
+  pruning reads only the attributes referenced.
 
-A ``pandas`` backend (collect-once + ``drop_duplicates``) exists for
-micro-tests of search logic; benchmarks and integration paths use Spark.
+Both kernels count with the same equality: NULL equals NULL, NaN equals
+NaN, ``-0.0`` equals ``0.0``, and NULL differs from NaN. Spark gets this
+from ``struct`` (never NULL itself, so rows with NULL fields are counted
+— the null-agnostic FD semantics of the paper, Definition 1 remark) and
+from its float normalization; the in-process kernel gets it by encoding
+NULL as a value of its own and by normalizing floats before encoding,
+since Arrow alone tells ``-0.0`` from ``0.0`` and NaN payloads apart.
+
+A ``pandas`` backend (``drop_duplicates`` on a pandas frame) is kept as
+an independent reference for tests and the benchmark's correctness gate.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import ArrayType, MapType, StructType
 
 from repro.fd.model import FD
 
@@ -29,10 +47,20 @@ from repro.fd.model import FD
 # distinct aggregate expands the input once (Expand operator), so this
 # bounds the expansion factor per job.
 _BATCH = 32
+# Spark instances with fewer cells (rows × columns) than this are
+# collected into the driver and counted in process: 2M cells are a few
+# tens of MB of Arrow data and 16 MB of int64 codes.
+_COLLECT_CELLS = 2_000_000
+_INT64_MAX = 2**63 - 1
 
 
 class FDEngine:
-    """Memoized distinct counts over one DataFrame (or pandas frame)."""
+    """Memoized distinct counts over one DataFrame (or pandas frame).
+
+    ``n_rows`` is the exact row count if the caller knows it (skips a
+    count job); ``max_rows`` an upper bound on it, enough to pick the
+    kernel without counting first.
+    """
 
     def __init__(
         self,
@@ -40,6 +68,7 @@ class FDEngine:
         backend: str = "spark",
         *,
         n_rows: int | None = None,
+        max_rows: int | None = None,
     ):
         if isinstance(df, pd.DataFrame):
             backend = "pandas"
@@ -54,14 +83,47 @@ class FDEngine:
             raise ValueError(f"unknown backend {backend!r}")
         self._cache: dict[frozenset[str], int] = {}
         self._nrows: int | None = n_rows  # pre-known row count skips a job
-        self.jobs = 0  # number of Spark aggregation jobs issued
+        self._max_rows = max_rows
+        # column -> (dictionary codes, cardinality) once collected, None
+        # on the Spark kernel; the kernel is picked on first use.
+        self._codes: dict[str, tuple[np.ndarray, int]] | None = None
+        self._picked = False
+        self.jobs = 0  # number of Spark jobs issued
+
+    # -- kernel choice -----------------------------------------------------
+    def _collected(self) -> dict[str, tuple[np.ndarray, int]] | None:
+        """The in-process codes, collecting on first use if the instance
+        is small enough; None if it stays on Spark."""
+        if not self._picked:
+            self._picked = True
+            self._codes = self._collect()
+        return self._codes
+
+    def _collect(self) -> dict[str, tuple[np.ndarray, int]] | None:
+        fields = self.df.schema.fields
+        if not fields or any(
+            isinstance(f.dataType, (ArrayType, MapType, StructType)) for f in fields
+        ):
+            return None
+        rows = self._nrows if self._nrows is not None else self._max_rows
+        if rows is None:
+            rows = self._nrows = self.df.count()
+            self.jobs += 1
+        if rows * len(fields) >= _COLLECT_CELLS:
+            return None
+        table = self.df.toArrow()
+        self.jobs += 1
+        self._nrows = table.num_rows
+        return {
+            name: _encode(col) for name, col in zip(table.column_names, table.columns)
+        }
 
     # -- row count ---------------------------------------------------------
     def n_rows(self) -> int:
         if self._nrows is None:
             if self.backend == "pandas":
                 self._nrows = len(self._pdf)
-            else:
+            elif self._collected() is None and self._nrows is None:
                 self._nrows = self.df.count()
                 self.jobs += 1
         return self._nrows
@@ -84,6 +146,11 @@ class FDEngine:
                 self._cache[s] = len(
                     self._pdf.drop_duplicates(subset=sorted(s)).index
                 )
+            return
+        codes = self._collected()
+        if codes is not None:
+            for s in todo:
+                self._cache[s] = _distinct_count([codes[a] for a in sorted(s)])
             return
         for i in range(0, len(todo), _BATCH):
             chunk = todo[i : i + _BATCH]
@@ -172,3 +239,32 @@ class FDEngine:
         frac = min(1.0, n / max(1, self.n_rows()) * 1.2)
         self.jobs += 1
         return self.df.sample(fraction=frac, seed=seed).limit(n).toPandas()
+
+
+def _encode(col: pa.ChunkedArray) -> tuple[np.ndarray, int]:
+    """Dictionary codes of one column (NULL gets a code of its own) and
+    the number of distinct values. Floats are normalized first: adding
+    0.0 turns -0.0 into 0.0, and every NaN becomes the same NaN."""
+    arr = col.combine_chunks()
+    if pa.types.is_floating(arr.type):
+        arr = pc.add(arr, 0.0)
+        arr = pc.if_else(pc.is_nan(arr), float("nan"), arr)
+    enc = pc.dictionary_encode(arr, null_encoding="encode")
+    return enc.indices.to_numpy().astype(np.int64), len(enc.dictionary)
+
+
+def _distinct_count(cols: list[tuple[np.ndarray, int]]) -> int:
+    """Distinct rows over the given coded columns. The columns are packed
+    into one int64 key; when the product of cardinalities would overflow,
+    the partial key is first re-encoded to dense codes (at most one code
+    per row)."""
+    key, card = cols[0]
+    for codes, k in cols[1:]:
+        if card * k > _INT64_MAX:
+            uniq, key = np.unique(key, return_inverse=True)
+            card = len(uniq)
+        key = key * k + codes
+        card *= k
+    if card <= 4 * len(key) + 1024:  # dense key range: count in linear time
+        return int(np.count_nonzero(np.bincount(key, minlength=1)))
+    return len(np.unique(key))

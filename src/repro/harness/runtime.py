@@ -20,6 +20,7 @@ from pyspark.sql import SparkSession
 from repro.core.infine import run_infine
 from repro.datasets import dataset_tables
 from repro.datasets.queries import QueryDef, all_queries
+from repro.fd.fastfds import PairBudgetExceeded
 from repro.harness.straightforward import straightforward
 
 BASELINES = ("hyfd", "fun", "tane", "fastfds")
@@ -74,9 +75,8 @@ def runtime_rows(
                 row["view_rows"] = sres.n_rows
                 if sres.fds != res.fds:
                     row[f"{algo}_mismatch"] = True
-            except Exception as exc:  # pair budget exceeded etc.
+            except PairBudgetExceeded:
                 row[f"{algo}_s"] = None
-                row[f"{algo}_note"] = type(exc).__name__
         rows.append(row)
     for tables in by_ds.values():
         for df in tables.values():
@@ -93,7 +93,12 @@ def format_runtime(rows: list[dict], baselines: tuple[str, ...] = BASELINES) -> 
         cells = [r["db"], r["view"], f"{r['infine_s']:.2f}"]
         for b in baselines:
             v = r.get(f"{b}_s")
-            cells.append(f"{v:.2f}" if v is not None else f">budget ({r.get(f'{b}_note','')})")
+            if v is None:
+                cells.append(">budget")
+            elif r.get(f"{b}_mismatch"):
+                cells.append(f"{v:.2f} MISMATCH")
+            else:
+                cells.append(f"{v:.2f}")
         cells.append(f"{r['infine_mem_mb']:.1f}")
         for b in baselines:
             v = r.get(f"{b}_mem_mb")

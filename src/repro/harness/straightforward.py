@@ -52,7 +52,7 @@ def straightforward(
     t0 = time.perf_counter()
     try:
         if algo in ("tane", "fun"):
-            engine = FDEngine(df.toPandas() if backend == "pandas" else df)
+            engine = FDEngine(df.toPandas() if backend == "pandas" else df, n_rows=n)
             fds = (tane_on_engine if algo == "tane" else fun_on_engine)(engine, attrs)
         elif algo == "fastfds":
             fds = fastfds(df, attrs, max_pairs=max_pairs)

@@ -50,6 +50,8 @@ class ViewSpec:
     """Abstract SPJ view node."""
 
     def proj(self, schemas: Mapping[str, tuple[str, ...]]) -> frozenset[str]:
+        """The view's attributes (Definition 3). Raises ``ValueError``
+        naming the node if the spec does not fit the table schemas."""
         raise NotImplementedError
 
     def instance(self, tables: Mapping[str, DataFrame]) -> DataFrame:
@@ -84,8 +86,11 @@ class BaseRel(ViewSpec):
     rename: tuple[tuple[str, str], ...] = ()  # (old, new) pairs
 
     def proj(self, schemas):
+        if self.name not in schemas:
+            raise ValueError(f"{self.label()}: unknown table {self.name!r}")
         cols = schemas[self.name]
         ren = dict(self.rename)
+        _check_known(self, ren, cols)
         return frozenset(ren.get(c, c) for c in cols)
 
     def instance(self, tables):
@@ -116,6 +121,7 @@ class Project(ViewSpec):
     cols: tuple[str, ...]
 
     def proj(self, schemas):
+        _check_known(self, self.cols, self.child.proj(schemas))
         return frozenset(self.cols)
 
     def instance(self, tables):
@@ -190,8 +196,15 @@ class Join(ViewSpec):
     def proj(self, schemas):
         lp = self.left.proj(schemas)
         rp = self.right.proj(schemas)
+        _check_known(self, self.on, lp & rp)
         if self.how == "semi":
             return lp  # Definition 3: proj(V1 ⋉ V2) = proj(V1)
+        shared = (lp & rp) - set(self.on)
+        if shared:
+            raise ValueError(
+                f"{self.label()}: non-key column(s) {sorted(shared)} on both "
+                "sides; rename one side"
+            )
         return lp | rp
 
     def instance(self, tables):
@@ -230,6 +243,12 @@ class Join(ViewSpec):
 
     def top_join(self):
         return self
+
+
+def _check_known(node: ViewSpec, cols, known) -> None:
+    missing = sorted(set(cols) - set(known))
+    if missing:
+        raise ValueError(f"{node.label()}: unknown column(s) {missing}")
 
 
 def view_sql(spec: ViewSpec) -> str:

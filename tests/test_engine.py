@@ -1,9 +1,12 @@
 """Distinct-count engine tests: Spark vs pandas backends, null semantics,
-batching, memoization."""
+batching, memoization. Small Spark instances take the in-process kernel;
+each ``...SparkKernel`` class reruns its parent's tests on the Spark
+kernel."""
 import numpy as np
 import pandas as pd
 import pytest
 
+import repro.fd.engine as engine_mod
 from repro.fd.engine import FDEngine
 from repro.fd.model import FD
 from tests.helpers import random_table
@@ -14,7 +17,7 @@ def pdf():
     return random_table(3, n=40, with_nulls=True)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def engines(spark, pdf):
     return FDEngine(spark.createDataFrame(pdf)), FDEngine(pdf)
 
@@ -39,6 +42,11 @@ class TestBackendAgreement:
             assert se.holds(lhs, rhs) == pe.holds(lhs, rhs), (seed, lhs, rhs)
 
 
+@pytest.mark.usefixtures("spark_kernel")
+class TestBackendAgreementSparkKernel(TestBackendAgreement):
+    pass
+
+
 class TestNullSemantics:
     def test_null_equals_null(self, spark):
         pdf = pd.DataFrame({"a": [1.0, 1.0, np.nan, np.nan], "b": [5, 5, 7, 7]})
@@ -51,6 +59,11 @@ class TestNullSemantics:
         pdf = pd.DataFrame({"a": [np.nan, np.nan], "b": [1, 2]})
         se = FDEngine(spark.createDataFrame(pdf))
         assert not se.holds(["a"], "b")
+
+
+@pytest.mark.usefixtures("spark_kernel")
+class TestNullSemanticsSparkKernel(TestNullSemantics):
+    pass
 
 
 class TestEmptyAndEdge:
@@ -67,6 +80,11 @@ class TestEmptyAndEdge:
     def test_single_row(self):
         e = FDEngine(pd.DataFrame({"a": [1], "b": [2]}))
         assert e.holds([], "a") and e.holds(["a"], "b")
+
+
+@pytest.mark.usefixtures("spark_kernel")
+class TestEmptyAndEdgeSparkKernel(TestEmptyAndEdge):
+    pass
 
 
 class TestBatchingAndCache:
@@ -92,6 +110,46 @@ class TestBatchingAndCache:
         res = e.check_fds(fds)
         assert res[FD(["a", "c"], "e")] is True  # e = a*10+c by construction
         assert set(res) == set(fds)
+
+
+@pytest.mark.usefixtures("spark_kernel")
+class TestBatchingAndCacheSparkKernel(TestBatchingAndCache):
+    pass
+
+
+class TestKernelChoice:
+    """Instances below ``_COLLECT_CELLS`` cells are collected once and
+    counted in process; the rest are counted on Spark."""
+
+    @pytest.mark.parametrize("cap, in_process", [(200, False), (201, True)])
+    def test_cap_on_rows_times_columns(self, spark, pdf, monkeypatch, cap, in_process):
+        monkeypatch.setattr(engine_mod, "_COLLECT_CELLS", cap)
+        e = FDEngine(spark.createDataFrame(pdf), n_rows=len(pdf))  # 40 × 5 cells
+        sets = [frozenset(c) for c in (["a"], ["b"], ["a", "b"], ["c", "d"])]
+        for s in sets:
+            e.prefetch([s])
+        assert e.jobs == (1 if in_process else len(sets))
+        assert all(e.distinct_count(s) == FDEngine(pdf).distinct_count(s) for s in sets)
+
+    def test_row_bound_skips_count(self, spark, pdf):
+        e = FDEngine(spark.createDataFrame(pdf), max_rows=100)
+        assert e.n_rows() == 40
+        e.prefetch([frozenset("ab")])
+        assert e.jobs == 1  # the collect; the row count comes from it
+
+    def test_unknown_row_count_counts_first(self, spark, pdf, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_COLLECT_CELLS", 100)
+        e = FDEngine(spark.createDataFrame(pdf))
+        assert e.n_rows() == 40
+        assert e.jobs == 1
+        e.prefetch([frozenset("ab"), frozenset("c")])
+        assert e.jobs == 2  # 200 cells: counted on Spark
+
+    def test_nested_columns_stay_on_spark(self, spark):
+        df = spark.createDataFrame([([1, 2], 1), ([1, 2], 2), ([3], 1)], "a array<int>, b int")
+        e = FDEngine(df, n_rows=3)
+        assert e.distinct_count(["a"]) == 2 and e.distinct_count(["a", "b"]) == 3
+        assert e._collected() is None
 
 
 class TestViolatingPair:

@@ -4,6 +4,7 @@ import pytest
 from repro.datasets.ptc import ptc_tables
 from repro.datasets.pte import pte_tables
 from repro.datasets.queries import queries_for
+from repro.harness import runtime
 from repro.harness.runtime import format_runtime, runtime_rows
 from repro.harness.straightforward import straightforward
 from repro.harness.table1 import format_table1, table1_rows
@@ -77,3 +78,20 @@ class TestTable3AndRuntime:
         assert r["infine_s"] > 0 and r["fun_s"] > 0
         assert "fun_mismatch" not in r
         assert "| DB |" in format_runtime(rows, baselines=("fun",))
+
+    def test_runtime_rows_raises_baseline_errors(self, spark, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("baseline broke")
+
+        monkeypatch.setattr(runtime, "straightforward", broken)
+        with pytest.raises(ValueError, match="baseline broke"):
+            runtime_rows(
+                spark, scale=0.05, queries=queries_for("pte")[1:2], baselines=("fun",)
+            )
+
+    def test_format_runtime_shows_budget_and_mismatch(self):
+        row = {"db": "d", "view": "v", "infine_s": 1.0, "infine_mem_mb": 1.0,
+               "fun_s": 2.0, "fun_mem_mb": 1.0, "fun_mismatch": True,
+               "tane_s": None}
+        line = format_runtime([row], baselines=("fun", "tane")).splitlines()[-1]
+        assert "2.00 MISMATCH" in line and ">budget" in line

@@ -100,6 +100,11 @@ class TestBatching:
         assert e.jobs <= 12
 
 
+@pytest.mark.usefixtures("spark_kernel")
+class TestBatchingSparkKernel(TestBatching):
+    pass
+
+
 def test_subset_minimal():
     fam = [frozenset("a"), frozenset("ab"), frozenset("bc")]
     assert subset_minimal(fam) == {frozenset("a"), frozenset("bc")}

@@ -3,6 +3,8 @@ join-attribute collection."""
 import pandas as pd
 import pytest
 
+from repro.core.infine import run_infine
+from repro.fd.bruteforce import brute_force_fds
 from repro.oracle import assert_equivalent
 from repro.views.spec import BaseRel, Join, Project, Select, view_sql
 
@@ -128,3 +130,36 @@ class TestMetadata:
     def test_join_requires_keys(self):
         with pytest.raises(ValueError):
             Join(BaseRel("L"), BaseRel("R"), on=())
+
+
+class TestValidation:
+    """``run_infine`` rejects a spec that does not fit the schemas before
+    any mining, naming the offending node."""
+
+    def _raises(self, tables, spec, match):
+        sdfs, _ = tables
+        with pytest.raises(ValueError, match=match):
+            run_infine(sdfs, spec)
+
+    def test_unknown_table(self, tables):
+        spec = Join(BaseRel("L"), BaseRel("Z"), on=("k",))
+        self._raises(tables, spec, r"^Z: unknown table 'Z'")
+
+    def test_unknown_column(self, tables):
+        spec = Join(Project(BaseRel("L"), ("k", "zz")), BaseRel("R"), on=("k",))
+        self._raises(tables, spec, r"^π\[k,zz\]\(L\): unknown column\(s\) \['zz'\]")
+
+    def test_join_key_missing_on_one_side(self, tables):
+        spec = Join(BaseRel("L"), BaseRel("R"), on=("a",))
+        self._raises(tables, spec, r"^L ⋈_\{a\} R: unknown column\(s\) \['a'\]")
+
+    def test_non_key_name_on_both_sides(self, tables):
+        spec = Join(BaseRel("L"), BaseRel("R", rename=(("x", "a"),)), on=("k",))
+        self._raises(tables, spec, r"^L ⋈_\{k\} R: non-key column\(s\) \['a'\]")
+
+    def test_semi_join_may_share_names(self, tables):
+        sdfs, _ = tables
+        spec = Join(BaseRel("L"), BaseRel("R", rename=(("x", "a"),)), on=("k",), how="semi")
+        assert spec.proj(_schemas(sdfs)) == {"k", "a", "b"}
+        ref = brute_force_fds(spec.instance(sdfs).toPandas())
+        assert run_infine(sdfs, spec).fds == ref
