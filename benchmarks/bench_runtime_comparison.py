@@ -9,19 +9,19 @@ import pytest
 
 from repro.core.infine import run_infine
 from repro.fd.fastfds import PairBudgetExceeded
-from repro.datasets import dataset_tables
 from repro.datasets.queries import all_queries
 from repro.harness.straightforward import straightforward
 
 from repro.harness import BENCH_SCALE as SCALE  # noqa: N811
+from repro.harness import TableCache
+
 FASTFDS_SMALL = {"pte", "ptc"}
-_CACHE: dict[str, dict] = {}
 
 
-def _tables(spark, ds):
-    if ds not in _CACHE:
-        _CACHE[ds] = dataset_tables(spark, ds, scale=SCALE[ds])
-    return _CACHE[ds]
+@pytest.fixture(scope="module")
+def tables_of(spark):
+    with TableCache(spark, SCALE) as cache:
+        yield cache
 
 
 # One representative view per dataset keeps the benchmark suite bounded;
@@ -45,8 +45,8 @@ _PARAMS = [
 
 
 @pytest.mark.parametrize("q,method", _PARAMS)
-def test_method(benchmark, spark, q, method):
-    tables = _tables(spark, q.dataset)
+def test_method(benchmark, tables_of, q, method):
+    tables = tables_of(q.dataset)
     if method == "infine":
         res = benchmark.pedantic(
             lambda: run_infine(tables, q.spec), rounds=1, iterations=1

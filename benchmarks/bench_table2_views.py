@@ -2,25 +2,24 @@
 FDs with the straightforward approach (the cost InFine avoids)."""
 import pytest
 
-from repro.datasets import dataset_tables
 from repro.datasets.queries import all_queries
 from repro.harness.straightforward import straightforward
 
 from repro.harness import BENCH_SCALE as SCALE  # noqa: N811
-_CACHE: dict[str, dict] = {}
+from repro.harness import TableCache
 
 
-def _tables(spark, ds):
-    if ds not in _CACHE:
-        _CACHE[ds] = dataset_tables(spark, ds, scale=SCALE[ds])
-    return _CACHE[ds]
+@pytest.fixture(scope="module")
+def tables_of(spark):
+    with TableCache(spark, SCALE) as cache:
+        yield cache
 
 
 @pytest.mark.parametrize(
     "q", [pytest.param(q, id=f"{q.dataset}:{q.name}") for q in all_queries()]
 )
-def test_view_mining(benchmark, spark, q):
-    tables = _tables(spark, q.dataset)
+def test_view_mining(benchmark, tables_of, q):
+    tables = tables_of(q.dataset)
     res = benchmark.pedantic(
         lambda: straightforward(tables, q.spec, algo="fun"), rounds=1, iterations=1
     )

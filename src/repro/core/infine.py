@@ -33,7 +33,12 @@ from repro.views.spec import _SPARK_HOW, BaseRel, Join, Project, Select, ViewSpe
 
 @dataclass
 class InFineResult:
-    """Final provenance triples plus run statistics."""
+    """Final provenance triples plus run statistics.
+
+    ``spark_jobs`` counts only the Spark jobs the run's engines issue
+    (collects, count jobs and count batches); materialization, semijoin
+    and join jobs are not in it.
+    """
 
     triples: list[Triple]
     timings: dict[str, float]
@@ -78,7 +83,6 @@ class _Node:
 class _Run:
     tables: Mapping[str, DataFrame]
     scope: frozenset[str]
-    backend: str
     timings: dict[str, float] = field(
         default_factory=lambda: {
             "base": 0.0,
@@ -92,12 +96,15 @@ class _Run:
     engines: list[FDEngine] = field(default_factory=list)
     cached: list[DataFrame] = field(default_factory=list)
 
-    def engine(self, df: DataFrame, n_rows: int) -> FDEngine:
-        """An engine over ``df`` pruned to the mining scope."""
-        df = df.select(*(c for c in df.columns if c in self.scope))
-        e = FDEngine(
-            df.toPandas() if self.backend == "pandas" else df, n_rows=n_rows
-        )
+    def engine(
+        self, df: DataFrame, *, n_rows: int | None = None, max_rows: int | None = None
+    ) -> FDEngine:
+        """An engine over ``df`` pruned to the mining scope, counted in
+        ``spark_jobs``."""
+        cols = [c for c in df.columns if c in self.scope]
+        if len(cols) < len(df.columns):  # a select costs a plan analysis
+            df = df.select(*cols)
+        e = FDEngine(df, n_rows=n_rows, max_rows=max_rows)
         self.engines.append(e)
         return e
 
@@ -114,17 +121,12 @@ class _Run:
         return sum(e.jobs for e in self.engines)
 
 
-def run_infine(
-    tables: Mapping[str, DataFrame],
-    spec: ViewSpec,
-    *,
-    backend: str = "spark",
-) -> InFineResult:
+def run_infine(tables: Mapping[str, DataFrame], spec: ViewSpec) -> InFineResult:
     """Discover the minimal FDs of the view with provenance triples."""
     schemas = {name: tuple(df.columns) for name, df in tables.items()}
     proj_attrs = spec.proj(schemas)  # rejects a bad spec before any mining
     scope = proj_attrs | spec.join_attrs()
-    run = _Run(tables=tables, scope=scope, backend=backend)
+    run = _Run(tables=tables, scope=scope)
     try:
         node = _prov_fds(run, spec)
         triples = P.minimize_triples(P.restrict_triples(node.triples, proj_attrs))
@@ -145,7 +147,7 @@ def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
         df, n = run.materialize(spec.instance(run.tables))
         attrs = frozenset(df.columns)
         t0 = time.perf_counter()
-        fds = mine_fds(run.engine(df, n), run.scope & attrs)
+        fds = mine_fds(run.engine(df, n_rows=n), run.scope & attrs)
         run.timings["base"] += time.perf_counter() - t0
         triples = [Triple(d, P.BASE, spec.label()) for d in sorted(fds)]
         return _Node(df, n, attrs, triples)
@@ -165,7 +167,7 @@ def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
         df, n = run.materialize(child.df.filter(spec.predicate))
         t0 = time.perf_counter()
         new = selection_upstaged(
-            run.engine(df, n),
+            run.engine(df, n_rows=n),
             child.n_rows,
             run.scope & child.attrs,
             [t.fd for t in child.triples],
@@ -199,10 +201,8 @@ def _join_node(run: _Run, spec: Join) -> _Node:
         out = process_side(
             left.df, left.n_rows, [t.fd for t in left.triples],
             right.df, join_df, K, run.scope,
-            loses=True, padded=False, backend=run.backend,
+            loses=True, padded=False, make_engine=run.engine,
         )
-        if out.engine is not None:
-            run.engines.append(out.engine)
         run.timings["upstage_join"] += time.perf_counter() - t0
         triples = left.triples + [
             Triple(d, P.UPSTAGED_LEFT, label) for d in sorted(out.upstaged)
@@ -227,10 +227,8 @@ def _join_node(run: _Run, spec: Join) -> _Node:
             node.df, node.n_rows, [t.fd for t in node.triples],
             other.df, join_df, K, run.scope,
             loses=lose, padded=padded and (lose or spec.how == "full"),
-            join_n=join_n, backend=run.backend,
+            make_engine=run.engine, join_n=join_n,
         )
-        if out.engine is not None:
-            run.engines.append(out.engine)
         run.timings["upstage_join"] += time.perf_counter() - t0
         sides.append((node, tag, out))
 
@@ -241,7 +239,7 @@ def _join_node(run: _Run, spec: Join) -> _Node:
         kept_triples += [Triple(d, tag, label) for d in sorted(out.upstaged)]
         side_full.append(out.kept | out.upstaged)
 
-    join_engine = run.engine(join_df, join_n)
+    join_engine = run.engine(join_df, n_rows=join_n)
     t0 = time.perf_counter()
     inferred = infer_join_fds(
         join_engine,

@@ -21,7 +21,7 @@ decisions"):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from pyspark.sql import DataFrame
 
@@ -37,7 +37,6 @@ class SideOutcome:
     kept: set[FD]  # inherited FDs still valid on the view's side projection
     upstaged: set[FD]  # newly valid FDs on the side
     dropped: set[FD]  # inherited FDs invalidated by NULL padding (outer only)
-    engine: FDEngine | None  # engine over the effective side instance
 
 
 def process_side(
@@ -51,17 +50,17 @@ def process_side(
     *,
     loses: bool,
     padded: bool,
+    make_engine: Callable[..., FDEngine],
     join_n: int | None = None,
-    backend: str = "spark",
 ) -> SideOutcome:
     """Compute the side's effective instance and its complete FD set.
 
-    The engine gets the instance pruned to the side's attributes in
+    ``make_engine`` gets the instance pruned to the side's attributes in
     ``scope_attrs``, with its row count (``join_n`` for a padded side,
     which is the side projection of the join) or its bound ``side_n``."""
     side_fds = set(side_fds)
     if not loses and not padded:
-        return SideOutcome(kept=side_fds, upstaged=set(), dropped=set(), engine=None)
+        return SideOutcome(kept=side_fds, upstaged=set(), dropped=set())
 
     cols = [c for c in side_df.columns if c in scope_attrs and c in join_df.columns]
     if padded:
@@ -73,11 +72,7 @@ def process_side(
             other_df.select(*K).distinct(), on=list(K), how="left_semi"
         ).select(*cols)
         n_rows, max_rows = None, side_n
-    engine = FDEngine(
-        eff.toPandas() if backend == "pandas" else eff,
-        n_rows=n_rows,
-        max_rows=max_rows,
-    )
+    engine = make_engine(eff, n_rows=n_rows, max_rows=max_rows)
 
     kept, dropped = side_fds, set()
     if padded:
@@ -88,4 +83,4 @@ def process_side(
     upstaged: set[FD] = set()
     if loses and (padded or engine.n_rows() < side_n):
         upstaged = mine_fds(engine, frozenset(cols), known=kept)
-    return SideOutcome(kept=kept, upstaged=upstaged, dropped=dropped, engine=engine)
+    return SideOutcome(kept=kept, upstaged=upstaged, dropped=dropped)

@@ -26,8 +26,10 @@ from its float normalization; the in-process kernel gets it by encoding
 NULL as a value of its own and by normalizing floats before encoding,
 since Arrow alone tells ``-0.0`` from ``0.0`` and NaN payloads apart.
 
-A ``pandas`` backend (``drop_duplicates`` on a pandas frame) is kept as
-an independent reference for tests and the benchmark's correctness gate.
+A pandas frame is counted with ``drop_duplicates``: an independent
+reference for tests and the benchmark's correctness gate. It sees the
+data through ``toPandas()``, which maps NULL and NaN in a float column
+to the same NaN, so on such columns it is no reference.
 """
 from __future__ import annotations
 
@@ -55,8 +57,10 @@ _INT64_MAX = 2**63 - 1
 
 
 class FDEngine:
-    """Memoized distinct counts over one DataFrame (or pandas frame).
+    """Memoized distinct counts over one instance.
 
+    The instance's type picks the path: a Spark DataFrame is counted by
+    one of the two kernels above, a pandas frame by ``drop_duplicates``.
     ``n_rows`` is the exact row count if the caller knows it (skips a
     count job); ``max_rows`` an upper bound on it, enough to pick the
     kernel without counting first.
@@ -65,22 +69,11 @@ class FDEngine:
     def __init__(
         self,
         df: DataFrame | pd.DataFrame,
-        backend: str = "spark",
         *,
         n_rows: int | None = None,
         max_rows: int | None = None,
     ):
-        if isinstance(df, pd.DataFrame):
-            backend = "pandas"
-        self.backend = backend
-        if backend == "pandas":
-            self._pdf = df if isinstance(df, pd.DataFrame) else df.toPandas()
-            self.df = None
-        elif backend == "spark":
-            self.df = df
-            self._pdf = None
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+        self.df = df
         self._cache: dict[frozenset[str], int] = {}
         self._nrows: int | None = n_rows  # pre-known row count skips a job
         self._max_rows = max_rows
@@ -121,8 +114,8 @@ class FDEngine:
     # -- row count ---------------------------------------------------------
     def n_rows(self) -> int:
         if self._nrows is None:
-            if self.backend == "pandas":
-                self._nrows = len(self._pdf)
+            if isinstance(self.df, pd.DataFrame):
+                self._nrows = len(self.df)
             elif self._collected() is None and self._nrows is None:
                 self._nrows = self.df.count()
                 self.jobs += 1
@@ -141,11 +134,9 @@ class FDEngine:
                 seen.add(s)
         if not todo:
             return
-        if self.backend == "pandas":
+        if isinstance(self.df, pd.DataFrame):
             for s in todo:
-                self._cache[s] = len(
-                    self._pdf.drop_duplicates(subset=sorted(s)).index
-                )
+                self._cache[s] = len(self.df.drop_duplicates(subset=sorted(s)).index)
             return
         codes = self._collected()
         if codes is not None:
@@ -186,59 +177,6 @@ class FDEngine:
             wanted.append(d.attrs())
         self.prefetch(w for w in wanted if w)
         return {d: self.holds(d.lhs_set(), d.rhs) for d in fds}
-
-    # -- violation sampling (HyFD) ----------------------------------------
-    def violating_pair(self, lhs: Iterable[str], rhs: str) -> tuple[dict, dict] | None:
-        """Return two rows that agree on ``lhs`` but differ on ``rhs``,
-        or None if the FD holds. Used by HyFD's validation phase to grow
-        the negative cover from real violations."""
-        lhs = sorted(frozenset(lhs))
-        if self.backend == "pandas":
-            pdf = self._pdf
-            if lhs:
-                for _, grp in pdf.groupby(lhs, dropna=False):
-                    dd = grp.drop_duplicates(subset=[rhs])
-                    if len(dd) > 1:
-                        return dd.iloc[0].to_dict(), dd.iloc[1].to_dict()
-                return None
-            dd = pdf.drop_duplicates(subset=[rhs])
-            if len(dd) > 1:
-                return dd.iloc[0].to_dict(), dd.iloc[1].to_dict()
-            return None
-        if lhs:
-            bad = (
-                self.df.groupBy(*lhs)
-                .agg(F.count_distinct(F.struct(rhs)).alias("_n"))
-                .filter(F.col("_n") > 1)
-                .limit(1)
-                .collect()
-            )
-            self.jobs += 1
-            if not bad:
-                return None
-            key = bad[0]
-            cond = None
-            for a in lhs:
-                c = F.col(a).eqNullSafe(F.lit(key[a]))
-                cond = c if cond is None else (cond & c)
-            rows = self.df.filter(cond).dropDuplicates([rhs]).limit(2).collect()
-        else:
-            rows = self.df.dropDuplicates([rhs]).limit(2).collect()
-        self.jobs += 1
-        if len(rows) < 2:
-            return None
-        return rows[0].asDict(), rows[1].asDict()
-
-    def sample_rows(self, n: int, seed: int = 0) -> pd.DataFrame:
-        """A deterministic sample of up to ``n`` rows (for HyFD's sampling
-        phase)."""
-        if self.backend == "pandas":
-            if len(self._pdf) <= n:
-                return self._pdf.copy()
-            return self._pdf.sample(n=n, random_state=seed).reset_index(drop=True)
-        frac = min(1.0, n / max(1, self.n_rows()) * 1.2)
-        self.jobs += 1
-        return self.df.sample(fraction=frac, seed=seed).limit(n).toPandas()
 
 
 def _encode(col: pa.ChunkedArray) -> tuple[np.ndarray, int]:

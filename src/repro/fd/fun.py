@@ -7,17 +7,9 @@ comparisons reuse the same batched distinct-count engine.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-
 from repro.fd.engine import FDEngine
 from repro.fd.lattice import mine_fds
 from repro.fd.model import FD
-
-
-def fun(df: DataFrame, attrs=None, *, backend: str = "spark") -> set[FD]:
-    """All minimal FDs of ``df`` (restricted to ``attrs``)."""
-    engine = FDEngine(df.toPandas() if backend == "pandas" else df)
-    return fun_on_engine(engine, attrs or df.columns)
 
 
 def fun_on_engine(engine: FDEngine, attrs) -> set[FD]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.fd.engine import FDEngine
 from repro.fd.model import FD, minimize
@@ -77,27 +78,67 @@ def _sample_pairs(pdf: pd.DataFrame, attrs: list[str], window: int = 4):
                     yield rows[p[0]], rows[p[1]]
 
 
+def _sample_rows(df: DataFrame | pd.DataFrame, n: int, n_rows: int) -> pd.DataFrame:
+    """A deterministic sample of up to ``n`` of the ``n_rows`` rows."""
+    if isinstance(df, pd.DataFrame):
+        if n_rows <= n:
+            return df.copy()
+        return df.sample(n=n, random_state=0).reset_index(drop=True)
+    frac = min(1.0, n / max(1, n_rows) * 1.2)
+    return df.sample(fraction=frac, seed=0).limit(n).toPandas()
+
+
+def _violating_pair(
+    df: DataFrame | pd.DataFrame, lhs: frozenset[str], rhs: str
+) -> tuple[dict, dict] | None:
+    """Two rows that agree on ``lhs`` but differ on ``rhs``, or None if
+    the FD holds."""
+    lhs = sorted(lhs)
+    if isinstance(df, pd.DataFrame):
+        groups = (g for _, g in df.groupby(lhs, dropna=False)) if lhs else [df]
+        for grp in groups:
+            dd = grp.drop_duplicates(subset=[rhs])
+            if len(dd) > 1:
+                return dd.iloc[0].to_dict(), dd.iloc[1].to_dict()
+        return None
+    if lhs:
+        bad = (
+            df.groupBy(*lhs)
+            .agg(F.count_distinct(F.struct(rhs)).alias("_n"))
+            .filter(F.col("_n") > 1)
+            .limit(1)
+            .collect()
+        )
+        if not bad:
+            return None
+        key = bad[0]
+        cond = None
+        for a in lhs:
+            c = F.col(a).eqNullSafe(F.lit(key[a]))
+            cond = c if cond is None else (cond & c)
+        df = df.filter(cond)
+    rows = df.dropDuplicates([rhs]).limit(2).collect()
+    if len(rows) < 2:
+        return None
+    return rows[0].asDict(), rows[1].asDict()
+
+
 def hyfd(
     df: DataFrame | pd.DataFrame,
     attrs=None,
     *,
     sample_size: int = 500,
-    backend: str = "spark",
     max_rounds: int = 10_000,
 ) -> set[FD]:
     """All minimal FDs of the instance restricted to ``attrs``."""
-    if isinstance(df, pd.DataFrame):
-        engine = FDEngine(df)
-        attrs = sorted(attrs) if attrs is not None else sorted(df.columns)
-    else:
-        attrs = sorted(attrs) if attrs is not None else sorted(df.columns)
-        engine = FDEngine(
-            df.select(*attrs).toPandas() if backend == "pandas" else df.select(*attrs)
-        )
+    attrs = sorted(attrs) if attrs is not None else sorted(df.columns)
+    if not isinstance(df, pd.DataFrame):
+        df = df.select(*attrs)
+    engine = FDEngine(df)
     cands = _Candidates(attrs)
 
     # Phase 1: sampling-driven specialization.
-    sample = engine.sample_rows(sample_size)
+    sample = _sample_rows(df, sample_size, engine.n_rows())
     for r1, r2 in _sample_pairs(sample, attrs):
         ag = _agree_set(r1, r2, attrs)
         if len(ag) < len(attrs):
@@ -112,7 +153,7 @@ def hyfd(
             return minimize(set(pending))
         progressed = False
         for d in violated:
-            pair = engine.violating_pair(d.lhs_set(), d.rhs)
+            pair = _violating_pair(df, d.lhs_set(), d.rhs)
             if pair is None:
                 continue  # validated meanwhile (specialized away)
             ag = _agree_set(pair[0], pair[1], attrs)

@@ -24,7 +24,6 @@ jobs regardless of candidate count.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable, Iterable
 
 from repro.fd.engine import FDEngine
@@ -39,7 +38,6 @@ def mine_fds(
     rhs_pool: Iterable[str] | None = None,
     plausible: Callable[[frozenset[str], str], bool] | None = None,
     free_set_pruning: bool = True,
-    max_lhs: int | None = None,
 ) -> set[FD]:
     """Return all minimal FDs over ``attrs`` valid on ``engine``'s instance
     that are not subset-implied by ``known``.
@@ -93,9 +91,7 @@ def mine_fds(
                 candidates.append((x, y))
     _check_level(engine, candidates, record, pruned)
 
-    level = 1
-    while frontier and (max_lhs is None or level < max_lhs):
-        level += 1
+    while frontier:
         next_sets: set[frozenset[str]] = set()
         for x in frontier:
             top = max(x)
@@ -147,29 +143,7 @@ def _check_level(
             record(FD(lhs, rhs))
 
 
-def mine_all_minimal_fds(
-    engine: FDEngine, attrs: Iterable[str], **kw
-) -> set[FD]:
-    """The straightforward reference: all minimal FDs of an instance."""
-    return mine_fds(engine, attrs, **kw)
-
-
-def level0_keys(engine: FDEngine, attrs: Iterable[str]) -> set[frozenset[str]]:
-    """Single-attribute keys — convenience used in tests."""
-    attrs = list(attrs)
-    n = engine.n_rows()
-    engine.prefetch([frozenset([a]) for a in attrs])
-    return {frozenset([a]) for a in attrs if engine.distinct_count([a]) == n}
-
-
 def subset_minimal(sets: Iterable[frozenset[str]]) -> set[frozenset[str]]:
     """Inclusion-minimal members of a family of sets."""
     fam = set(sets)
     return {s for s in fam if not any(t < s for t in fam)}
-
-
-def powerset(attrs: Iterable[str], max_size: int | None = None):
-    attrs = sorted(attrs)
-    hi = len(attrs) if max_size is None else min(max_size, len(attrs))
-    for k in range(hi + 1):
-        yield from (frozenset(c) for c in combinations(attrs, k))

@@ -8,7 +8,7 @@ validity against data lives in :mod:`repro.fd.engine`.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -97,40 +97,3 @@ def minimize(fds: Iterable[FD]) -> set[FD]:
             if not any(other < w for other in uniq):
                 out.add(FD(w, rhs))
     return out
-
-
-def restrict(fds: Iterable[FD], attrs: Iterable[str]) -> set[FD]:
-    """FDs whose attributes all fall within ``attrs``.
-
-    Over a bag instance, the FDs of a projection onto ``attrs`` are
-    exactly the FDs over ``attrs`` of the unprojected instance, so this
-    implements projection on FD sets (Theorem 1, π case).
-    """
-    scope = frozenset(attrs)
-    return {d for d in fds if d.attrs() <= scope}
-
-
-@dataclass
-class FDSet:
-    """A mutable minimal-FD set with an incrementally maintained rhs index."""
-
-    fds: set[FD] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        self._idx: dict[str, list[frozenset[str]]] = by_rhs(self.fds)
-
-    def add(self, d: FD) -> None:
-        self.fds.add(d)
-        self._idx.setdefault(d.rhs, []).append(d.lhs_set())
-
-    def implied(self, lhs: frozenset[str], rhs: str) -> bool:
-        return has_subset_fd(self._idx, lhs, rhs)
-
-    def __contains__(self, d: FD) -> bool:
-        return d in self.fds
-
-    def __iter__(self):
-        return iter(self.fds)
-
-    def __len__(self) -> int:
-        return len(self.fds)

@@ -8,17 +8,9 @@ FUN's contribution, keeping the two baselines distinct.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-
 from repro.fd.engine import FDEngine
 from repro.fd.lattice import mine_fds
 from repro.fd.model import FD
-
-
-def tane(df: DataFrame, attrs=None, *, backend: str = "spark") -> set[FD]:
-    """All minimal FDs of ``df`` (restricted to ``attrs``)."""
-    engine = FDEngine(df.toPandas() if backend == "pandas" else df)
-    return tane_on_engine(engine, attrs or df.columns)
 
 
 def tane_on_engine(engine: FDEngine, attrs) -> set[FD]:

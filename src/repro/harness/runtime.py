@@ -18,9 +18,9 @@ from typing import Callable
 from pyspark.sql import SparkSession
 
 from repro.core.infine import run_infine
-from repro.datasets import dataset_tables
 from repro.datasets.queries import QueryDef, all_queries
 from repro.fd.fastfds import PairBudgetExceeded
+from repro.harness import TableCache
 from repro.harness.straightforward import straightforward
 
 BASELINES = ("hyfd", "fun", "tane", "fastfds")
@@ -32,11 +32,13 @@ FASTFDS_MAX_PAIRS = 20_000_000
 
 def _measured(fn: Callable) -> tuple[float, float, object]:
     tracemalloc.start()
-    t0 = time.perf_counter()
-    out = fn()
-    dt = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    try:
+        t0 = time.perf_counter()
+        out = fn()
+        dt = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()  # also when fn raises, or the next peak inherits it
     return dt, peak / 1e6, out
 
 
@@ -48,39 +50,30 @@ def runtime_rows(
     baselines: tuple[str, ...] = BASELINES,
 ) -> list[dict]:
     rows = []
-    by_ds: dict[str, dict] = {}
-    for q in queries if queries is not None else all_queries():
-        if q.dataset not in by_ds:
-            from repro.harness import resolve_scale
-
-            by_ds[q.dataset] = dataset_tables(
-                spark, q.dataset, scale=resolve_scale(scale, q.dataset)
-            )
-        tables = by_ds[q.dataset]
-        row: dict = {"db": q.dataset, "view": q.name}
-        dt, mem, res = _measured(lambda: run_infine(tables, q.spec))
-        infine_time = dt - res.timings["base"]  # base mining excluded (paper setup)
-        row["infine_s"] = infine_time
-        row["infine_mem_mb"] = mem
-        row["infine_fds"] = len(res.triples)
-        for algo in baselines:
-            try:
-                dt, mem, sres = _measured(
-                    lambda a=algo: straightforward(
-                        tables, q.spec, algo=a, max_pairs=FASTFDS_MAX_PAIRS
+    with TableCache(spark, scale) as tables_of:
+        for q in queries if queries is not None else all_queries():
+            tables = tables_of(q.dataset)
+            row: dict = {"db": q.dataset, "view": q.name}
+            dt, mem, res = _measured(lambda: run_infine(tables, q.spec))
+            infine_time = dt - res.timings["base"]  # base mining excluded (paper setup)
+            row["infine_s"] = infine_time
+            row["infine_mem_mb"] = mem
+            row["infine_fds"] = len(res.triples)
+            for algo in baselines:
+                try:
+                    dt, mem, sres = _measured(
+                        lambda a=algo: straightforward(
+                            tables, q.spec, algo=a, max_pairs=FASTFDS_MAX_PAIRS
+                        )
                     )
-                )
-                row[f"{algo}_s"] = dt
-                row[f"{algo}_mem_mb"] = mem
-                row["view_rows"] = sres.n_rows
-                if sres.fds != res.fds:
-                    row[f"{algo}_mismatch"] = True
-            except PairBudgetExceeded:
-                row[f"{algo}_s"] = None
-        rows.append(row)
-    for tables in by_ds.values():
-        for df in tables.values():
-            df.unpersist()
+                    row[f"{algo}_s"] = dt
+                    row[f"{algo}_mem_mb"] = mem
+                    row["view_rows"] = sres.n_rows
+                    if sres.fds != res.fds:
+                        row[f"{algo}_mismatch"] = True
+                except PairBudgetExceeded:
+                    row[f"{algo}_s"] = None
+            rows.append(row)
     return rows
 
 

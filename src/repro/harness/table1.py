@@ -8,6 +8,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.datasets import all_datasets
 from repro.fd.engine import FDEngine
 from repro.fd.fun import fun_on_engine
+from repro.harness import resolve_scale
 
 
 def table1_rows(
@@ -17,8 +18,6 @@ def table1_rows(
     datasets: Mapping | None = None,
 ) -> list[dict]:
     """One row per base table across all datasets."""
-    from repro.harness import resolve_scale
-
     rows = []
     builders = datasets or all_datasets
     for ds_name, build in builders.items():
@@ -28,7 +27,7 @@ def table1_rows(
         for tname, df in tables.items():
             df = df.cache()
             n = df.count()
-            fds = fun_on_engine(FDEngine(df), df.columns)
+            fds = fun_on_engine(FDEngine(df, n_rows=n), df.columns)
             rows.append(
                 {
                     "db": ds_name,

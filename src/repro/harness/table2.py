@@ -3,34 +3,25 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.datasets import dataset_tables
 from repro.datasets.queries import all_queries
+from repro.harness import TableCache
 from repro.harness.straightforward import straightforward
 
 
 def table2_rows(spark: SparkSession, *, scale: "float | dict" = 1.0, algo: str = "fun") -> list[dict]:
     rows = []
-    by_ds: dict[str, dict] = {}
-    for q in all_queries():
-        if q.dataset not in by_ds:
-            from repro.harness import resolve_scale
-
-            by_ds[q.dataset] = dataset_tables(
-                spark, q.dataset, scale=resolve_scale(scale, q.dataset)
+    with TableCache(spark, scale) as tables_of:
+        for q in all_queries():
+            tables = tables_of(q.dataset)
+            res = straightforward(tables, q.spec, algo=algo)
+            rows.append(
+                {
+                    "db": q.dataset,
+                    "view": q.name,
+                    "tuples": res.n_rows,
+                    "fds": len(res.fds),
+                }
             )
-        tables = by_ds[q.dataset]
-        res = straightforward(tables, q.spec, algo=algo)
-        rows.append(
-            {
-                "db": q.dataset,
-                "view": q.name,
-                "tuples": res.n_rows,
-                "fds": len(res.fds),
-            }
-        )
-    for tables in by_ds.values():
-        for df in tables.values():
-            df.unpersist()
     return rows
 
 

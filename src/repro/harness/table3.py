@@ -11,48 +11,39 @@ from __future__ import annotations
 from pyspark.sql import SparkSession
 
 from repro.core.infine import run_infine
-from repro.datasets import dataset_tables
 from repro.datasets.queries import all_queries
+from repro.harness import TableCache
 from repro.harness.metrics import coverage
 
 
 def table3_rows(spark: SparkSession, *, scale: "float | dict" = 1.0) -> list[dict]:
     rows = []
-    by_ds: dict[str, dict] = {}
-    for q in all_queries():
-        if q.dataset not in by_ds:
-            from repro.harness import resolve_scale
-
-            by_ds[q.dataset] = dataset_tables(
-                spark, q.dataset, scale=resolve_scale(scale, q.dataset)
+    with TableCache(spark, scale) as tables_of:
+        for q in all_queries():
+            tables = tables_of(q.dataset)
+            res = run_infine(tables, q.spec)
+            cov = coverage(tables, q.spec)
+            frac = res.stage_fractions()
+            n_view = q.spec.instance(tables).count()
+            rows.append(
+                {
+                    "db": q.dataset,
+                    "view": q.name,
+                    "atts": len(res.proj_attrs),
+                    "tuples": n_view,
+                    "coverage": cov,
+                    "upstage_acc": frac["upstage"],
+                    "infer_acc": frac["infer"],
+                    "mine_acc": frac["mine"],
+                    "total_fds": len(res.triples),
+                    "io_s": res.timings["io"],
+                    "upstage_s": res.timings["upstage_join"] + res.timings["selection"],
+                    "mine_s": res.timings["mine_join"],
+                    "infer_s": res.timings["infer"],
+                    "base_s": res.timings["base"],
+                    "counts": res.counts,
+                }
             )
-        tables = by_ds[q.dataset]
-        res = run_infine(tables, q.spec)
-        cov = coverage(tables, q.spec)
-        frac = res.stage_fractions()
-        n_view = q.spec.instance(tables).count()
-        rows.append(
-            {
-                "db": q.dataset,
-                "view": q.name,
-                "atts": len(res.proj_attrs),
-                "tuples": n_view,
-                "coverage": cov,
-                "upstage_acc": frac["upstage"],
-                "infer_acc": frac["infer"],
-                "mine_acc": frac["mine"],
-                "total_fds": len(res.triples),
-                "io_s": res.timings["io"],
-                "upstage_s": res.timings["upstage_join"] + res.timings["selection"],
-                "mine_s": res.timings["mine_join"],
-                "infer_s": res.timings["infer"],
-                "base_s": res.timings["base"],
-                "counts": res.counts,
-            }
-        )
-    for tables in by_ds.values():
-        for df in tables.values():
-            df.unpersist()
     return rows
 
 

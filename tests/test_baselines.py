@@ -7,10 +7,10 @@ import pytest
 from repro.fd.bruteforce import brute_force_fds
 from repro.fd.engine import FDEngine
 from repro.fd.fastfds import PairBudgetExceeded, agree_sets, encode, fastfds
-from repro.fd.fun import fun, fun_on_engine
+from repro.fd.fun import fun_on_engine
 from repro.fd.hyfd import hyfd
 from repro.fd.model import FD
-from repro.fd.tane import tane, tane_on_engine
+from repro.fd.tane import tane_on_engine
 from tests.helpers import random_table
 
 SEEDS = range(8)
@@ -24,7 +24,8 @@ class TestTane:
 
     def test_spark_entrypoint(self, spark):
         pdf = random_table(0, n=15)
-        assert tane(spark.createDataFrame(pdf)) == brute_force_fds(pdf)
+        e = FDEngine(spark.createDataFrame(pdf))
+        assert tane_on_engine(e, pdf.columns) == brute_force_fds(pdf)
 
 
 class TestFun:
@@ -44,7 +45,8 @@ class TestFun:
 
     def test_spark_entrypoint(self, spark):
         pdf = random_table(1, n=15)
-        assert fun(spark.createDataFrame(pdf)) == brute_force_fds(pdf)
+        e = FDEngine(spark.createDataFrame(pdf))
+        assert fun_on_engine(e, pdf.columns) == brute_force_fds(pdf)
 
 
 class TestFastFDs:

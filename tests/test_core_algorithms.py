@@ -55,13 +55,24 @@ class TestSelectionFDs:
         assert FD(["a"], "b") not in out and FD([], "c") not in out
 
 
+def _factory():
+    """An engine factory for ``process_side`` and the engines it built."""
+    built: list[FDEngine] = []
+
+    def make(df, **hints):
+        built.append(FDEngine(df, **hints))
+        return built[-1]
+
+    return make, built
+
+
 class TestJoinUpstaged:
     def test_inner_loses_side_mined(self, join_case):
         L, R, sL, sR, join = join_case
         out = process_side(
             sL, 5, brute_force_fds(L), sR, join, ("k",),
             frozenset(L.columns) | frozenset(R.columns),
-            loses=True, padded=False,
+            loses=True, padded=False, make_engine=FDEngine,
         )
         assert FD(["flag"], "v") in out.upstaged
         assert not out.dropped
@@ -69,11 +80,12 @@ class TestJoinUpstaged:
     def test_no_loss_short_circuit(self, join_case):
         L, R, sL, sR, join = join_case
         fds = brute_force_fds(R)
+        make, built = _factory()
         out = process_side(
             sR, 4, fds, sL, join, ("k",), frozenset(R.columns),
-            loses=False, padded=False,
+            loses=False, padded=False, make_engine=make,
         )
-        assert out.kept == fds and not out.upstaged and out.engine is None
+        assert out.kept == fds and not out.upstaged and not built
 
     def test_padded_validation_drops_broken_fd(self, spark):
         # left join pads right attrs with NULLs; rhs x has a NULL vs value
@@ -85,16 +97,18 @@ class TestJoinUpstaged:
         out = process_side(
             sR, 1, fdset("->x", "->w"), sL, join, ("k",),
             frozenset(["k", "x", "w"]), loses=True, padded=True,
+            make_engine=FDEngine,
         )
         assert FD([], "x") in out.dropped and FD([], "w") in out.dropped
 
     def test_semi_reduction_counts(self, join_case):
         L, R, sL, sR, join = join_case
-        out = process_side(
+        make, built = _factory()
+        process_side(
             sL, 5, set(), sR, join, ("k",), frozenset(L.columns),
-            loses=True, padded=False,
+            loses=True, padded=False, make_engine=make,
         )
-        assert out.engine.n_rows() == 4  # k=9 dropped
+        assert built[0].n_rows() == 4  # k=9 dropped
 
 
 class TestInferFDs:

@@ -3,13 +3,11 @@ import pytest
 
 from repro.fd.model import (
     FD,
-    FDSet,
     by_rhs,
     closure,
     determines,
     has_subset_fd,
     minimize,
-    restrict,
 )
 from tests.helpers import fdset
 
@@ -94,17 +92,3 @@ class TestMinimize:
 
     def test_empty_lhs_subsumes_all(self):
         assert minimize(fdset("->c", "a->c", "a,b->c")) == fdset("->c")
-
-    def test_restrict(self):
-        fds = fdset("a->c", "a,x->d", "x->y")
-        assert restrict(fds, {"a", "c", "d"}) == fdset("a->c")
-
-
-class TestFDSet:
-    def test_add_and_implied(self):
-        s = FDSet(fdset("a->c"))
-        assert s.implied(frozenset("ab"), "c")
-        s.add(FD([], "z"))
-        assert s.implied(frozenset("a"), "z")
-        assert len(s) == 2
-        assert FD(["a"], "c") in s

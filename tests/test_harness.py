@@ -1,11 +1,14 @@
 """Harness smoke tests: table row production and formatting."""
+import tracemalloc
+
 import pytest
 
 from repro.datasets.ptc import ptc_tables
 from repro.datasets.pte import pte_tables
 from repro.datasets.queries import queries_for
+from repro.fd.fastfds import PairBudgetExceeded
 from repro.harness import runtime
-from repro.harness.runtime import format_runtime, runtime_rows
+from repro.harness.runtime import _measured, format_runtime, runtime_rows
 from repro.harness.straightforward import straightforward
 from repro.harness.table1 import format_table1, table1_rows
 from repro.harness.table3 import format_table3, table3_rows
@@ -95,3 +98,16 @@ class TestTable3AndRuntime:
                "tane_s": None}
         line = format_runtime([row], baselines=("fun", "tane")).splitlines()[-1]
         assert "2.00 MISMATCH" in line and ">budget" in line
+
+
+class TestMeasured:
+    def test_raising_fn_stops_tracing(self):
+        def over_budget():
+            blob = bytearray(20_000_000)  # a 20 MB traced peak
+            raise PairBudgetExceeded(len(blob))
+
+        with pytest.raises(PairBudgetExceeded):
+            _measured(over_budget)
+        assert not tracemalloc.is_tracing()
+        _, mem, _ = _measured(lambda: None)
+        assert mem < 1.0  # the failed run's peak is not inherited

@@ -79,14 +79,6 @@ class TestRandomizedEquivalence:
         ref = brute_force_fds(spec.instance(tables).toPandas())
         assert res.fds == ref, (sorted(map(str, ref ^ res.fds)))
 
-    def test_pandas_backend_matches_spark(self, spark):
-        L, R = random_join_pair(99)
-        tables = _tables(spark, L=L, R=R)
-        spec = Join(BaseRel("L"), BaseRel("R"), on=("k",))
-        assert run_infine(tables, spec).fds == run_infine(
-            tables, spec, backend="pandas"
-        ).fds
-
 
 class TestBaseCase:
     def test_single_relation(self, spark):

@@ -83,13 +83,6 @@ class TestHooks:
         out = mine_fds(FDEngine(pdf), pdf.columns, plausible=lambda lhs, rhs: False)
         assert out == set()
 
-    def test_max_lhs_cap(self):
-        pdf = random_table(2, n=25)
-        out = mine_fds(FDEngine(pdf), pdf.columns, max_lhs=1)
-        assert all(len(d.lhs) <= 1 for d in out)
-        ref = {d for d in brute_force_fds(pdf) if len(d.lhs) <= 1}
-        assert out == ref
-
 
 class TestBatching:
     def test_one_spark_job_per_level_pair(self, spark):

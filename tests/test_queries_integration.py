@@ -4,21 +4,19 @@ view instances must match the DuckDB oracle."""
 import pytest
 
 from repro.core.infine import run_infine
-from repro.datasets import dataset_tables
 from repro.datasets.queries import all_queries, queries_for
+from repro.harness import TableCache
 from repro.harness.straightforward import straightforward
 from repro.oracle import assert_equivalent
 from repro.views.spec import view_sql
 
 SCALES = {"mimic3": 0.08, "pte": 0.08, "ptc": 0.08, "tpch": 0.5}
 
-_CACHE: dict[str, dict] = {}
 
-
-def _tables(spark, ds):
-    if ds not in _CACHE:
-        _CACHE[ds] = dataset_tables(spark, ds, scale=SCALES[ds])
-    return _CACHE[ds]
+@pytest.fixture(scope="module")
+def tables_of(spark):
+    with TableCache(spark, SCALES) as cache:
+        yield cache
 
 
 def _param_queries():
@@ -27,8 +25,8 @@ def _param_queries():
 
 class TestInFineEqualsStraightforward:
     @pytest.mark.parametrize("q", _param_queries())
-    def test_query(self, spark, q):
-        tables = _tables(spark, q.dataset)
+    def test_query(self, tables_of, q):
+        tables = tables_of(q.dataset)
         res = run_infine(tables, q.spec)
         ref = straightforward(tables, q.spec, algo="fun")
         assert res.fds == ref.fds, (
@@ -40,8 +38,8 @@ class TestInFineEqualsStraightforward:
 
 class TestViewInstancesVsOracle:
     @pytest.mark.parametrize("q", _param_queries())
-    def test_instance_matches_duckdb(self, spark, q):
-        tables = _tables(spark, q.dataset)
+    def test_instance_matches_duckdb(self, tables_of, q):
+        tables = tables_of(q.dataset)
         pdfs = {name: df.toPandas() for name, df in tables.items()}
         assert_equivalent(q.spec.instance(tables), view_sql(q.spec), **pdfs)
 
