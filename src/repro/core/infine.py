@@ -7,9 +7,14 @@ first sub-query in which it holds (its provenance triple).
 
 The mining scope is ``proj(V) ∪ join-attributes`` (see DESIGN.md); the
 final result is filtered to ``proj(V)``, which is exact for bag
-semantics. Instances are built and cached by Spark; each engine gets its
-instance pruned to the mining scope, so a validity check reads (or the
-engine collects) only attributes that can appear in a view FD.
+semantics. Spark builds each view node's instance (base, σ or join; a
+projection shares its child's), and ``_Run.engine`` gives it one engine
+pruned to the mining scope, so a validity check reads (or the engine
+collects) only attributes that can appear in a view FD. A small
+instance goes through Spark once, as one collect; only an instance that
+stays on Spark is cached, since its count batches scan it repeatedly.
+Both sides of a join are counted on the join's engine (Lemma 2, see
+``join_upstaged``).
 """
 from __future__ import annotations
 
@@ -35,9 +40,11 @@ from repro.views.spec import _SPARK_HOW, BaseRel, Join, Project, Select, ViewSpe
 class InFineResult:
     """Final provenance triples plus run statistics.
 
-    ``spark_jobs`` counts only the Spark jobs the run's engines issue
-    (collects, count jobs and count batches); materialization, semijoin
-    and join jobs are not in it.
+    ``spark_jobs`` counts the Spark jobs the run's engines issue: one
+    collect per view node, plus, for an instance that stays on Spark,
+    its count batches and a row count if one is needed. Spark may run
+    one of them as several jobs (adaptive execution runs each shuffle
+    stage of a join as a job of its own), counted here once.
     """
 
     triples: list[Triple]
@@ -74,7 +81,7 @@ class InFineResult:
 @dataclass
 class _Node:
     df: DataFrame
-    n_rows: int
+    engine: FDEngine
     attrs: frozenset[str]
     triples: list[Triple]
 
@@ -96,25 +103,20 @@ class _Run:
     engines: list[FDEngine] = field(default_factory=list)
     cached: list[DataFrame] = field(default_factory=list)
 
-    def engine(
-        self, df: DataFrame, *, n_rows: int | None = None, max_rows: int | None = None
-    ) -> FDEngine:
+    def engine(self, df: DataFrame) -> FDEngine:
         """An engine over ``df`` pruned to the mining scope, counted in
-        ``spark_jobs``."""
+        ``spark_jobs``. It collects a small instance now (timed as
+        ``io``); an instance that stays on Spark is cached instead."""
         cols = [c for c in df.columns if c in self.scope]
         if len(cols) < len(df.columns):  # a select costs a plan analysis
             df = df.select(*cols)
-        e = FDEngine(df, n_rows=n_rows, max_rows=max_rows)
+        e = FDEngine(df)
         self.engines.append(e)
-        return e
-
-    def materialize(self, df: DataFrame) -> tuple[DataFrame, int]:
         t0 = time.perf_counter()
-        df = df.cache()
-        n = df.count()
-        self.cached.append(df)
+        if not e.in_process():
+            self.cached.append(df.cache())
         self.timings["io"] += time.perf_counter() - t0
-        return df, n
+        return e
 
     @property
     def spark_jobs(self) -> int:
@@ -144,31 +146,33 @@ def run_infine(tables: Mapping[str, DataFrame], spec: ViewSpec) -> InFineResult:
 def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
     """Subroutine provFDs of Algorithm 1 — one case per node type."""
     if isinstance(spec, BaseRel):
-        df, n = run.materialize(spec.instance(run.tables))
+        df = spec.instance(run.tables)
+        engine = run.engine(df)
         attrs = frozenset(df.columns)
         t0 = time.perf_counter()
-        fds = mine_fds(run.engine(df, n_rows=n), run.scope & attrs)
+        fds = mine_fds(engine, run.scope & attrs)
         run.timings["base"] += time.perf_counter() - t0
         triples = [Triple(d, P.BASE, spec.label()) for d in sorted(fds)]
-        return _Node(df, n, attrs, triples)
+        return _Node(df, engine, attrs, triples)
 
     if isinstance(spec, Project):
         child = _prov_fds(run, spec.child)
         attrs = frozenset(spec.cols)
         return _Node(
             child.df.select(*spec.cols),
-            child.n_rows,
+            child.engine,
             attrs,
             P.restrict_triples(child.triples, attrs),
         )
 
     if isinstance(spec, Select):
         child = _prov_fds(run, spec.child)
-        df, n = run.materialize(child.df.filter(spec.predicate))
+        df = child.df.filter(spec.predicate)
+        engine = run.engine(df)
         t0 = time.perf_counter()
         new = selection_upstaged(
-            run.engine(df, n_rows=n),
-            child.n_rows,
+            engine,
+            child.engine.n_rows(),
             run.scope & child.attrs,
             [t.fd for t in child.triples],
         )
@@ -176,7 +180,7 @@ def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
         triples = child.triples + [
             Triple(d, P.UPSTAGED_SELECTION, spec.label()) for d in sorted(new)
         ]
-        return _Node(df, n, child.attrs, P.minimize_triples(triples))
+        return _Node(df, engine, child.attrs, P.minimize_triples(triples))
 
     if isinstance(spec, Join):
         return _join_node(run, spec)
@@ -188,26 +192,22 @@ def _join_node(run: _Run, spec: Join) -> _Node:
     right = _prov_fds(run, spec.right)
     K = tuple(spec.on)
     label = spec.label()
-    # Build the join from the (cached) child instances so Spark reuses
-    # the already-materialized children instead of recomputing the tree.
-    join_df, join_n = run.materialize(
-        left.df.join(right.df, on=list(K), how=_SPARK_HOW[spec.how])
-    )
+    join_df = left.df.join(right.df, on=list(K), how=_SPARK_HOW[spec.how])
+    join_engine = run.engine(join_df)
 
     if spec.how == "semi":
         # Output carries only the left attributes; the semijoin can only
         # drop left tuples, so only left upstaged FDs can appear.
         t0 = time.perf_counter()
         out = process_side(
-            left.df, left.n_rows, [t.fd for t in left.triples],
-            right.df, join_df, K, run.scope,
-            loses=True, padded=False, make_engine=run.engine,
+            left.engine, [t.fd for t in left.triples], join_engine,
+            run.scope & left.attrs, loses=True, padded=False,
         )
         run.timings["upstage_join"] += time.perf_counter() - t0
         triples = left.triples + [
             Triple(d, P.UPSTAGED_LEFT, label) for d in sorted(out.upstaged)
         ]
-        return _Node(join_df, join_n, left.attrs, P.minimize_triples(triples))
+        return _Node(join_df, join_engine, left.attrs, P.minimize_triples(triples))
 
     loses = {
         "inner": (True, True),
@@ -218,16 +218,15 @@ def _join_node(run: _Run, spec: Join) -> _Node:
     padded = spec.how != "inner"
 
     sides = []
-    for (node, other, tag, lose) in (
-        (left, right, P.UPSTAGED_LEFT, loses[0]),
-        (right, left, P.UPSTAGED_RIGHT, loses[1]),
+    for (node, tag, lose) in (
+        (left, P.UPSTAGED_LEFT, loses[0]),
+        (right, P.UPSTAGED_RIGHT, loses[1]),
     ):
         t0 = time.perf_counter()
         out = process_side(
-            node.df, node.n_rows, [t.fd for t in node.triples],
-            other.df, join_df, K, run.scope,
+            node.engine, [t.fd for t in node.triples], join_engine,
+            run.scope & node.attrs,
             loses=lose, padded=padded and (lose or spec.how == "full"),
-            make_engine=run.engine, join_n=join_n,
         )
         run.timings["upstage_join"] += time.perf_counter() - t0
         sides.append((node, tag, out))
@@ -239,7 +238,6 @@ def _join_node(run: _Run, spec: Join) -> _Node:
         kept_triples += [Triple(d, tag, label) for d in sorted(out.upstaged)]
         side_full.append(out.kept | out.upstaged)
 
-    join_engine = run.engine(join_df, n_rows=join_n)
     t0 = time.perf_counter()
     inferred = infer_join_fds(
         join_engine,
@@ -270,4 +268,4 @@ def _join_node(run: _Run, spec: Join) -> _Node:
     mine_triples = [Triple(d, P.JOIN_FD, label) for d in sorted(mined)]
 
     triples = P.minimize_triples(kept_triples + inf_triples + mine_triples)
-    return _Node(join_df, join_n, left.attrs | right.attrs, triples)
+    return _Node(join_df, join_engine, left.attrs | right.attrs, triples)

@@ -9,10 +9,13 @@ one of two kernels, picked once per engine from what it can observe:
   ``toArrow()`` — one Spark job — and each column is dictionary-encoded
   once. Every distinct count is then a numpy count over packed int64
   keys (``key·card + codes``, the stripped-partition / PLI idea of TANE
-  and HyFD), with no further Spark job. Spark keeps the relational work
-  (σ, semijoin reduction, joins, caching); callers pass instances
-  already pruned to the attributes they mine, so the collect reads only
-  those.
+  and HyFD), with no further Spark job. Without a row count the engine
+  does not count first: it collects at most ``fit + 1`` rows, where
+  ``fit`` is the most rows the cap allows. At most ``fit`` rows is the
+  whole instance, and gives the row count; more means the instance
+  stays on Spark. Spark keeps the relational work (σ, joins, caching);
+  callers pass instances already pruned to the attributes they mine, so
+  the collect reads only those.
 - **On Spark.** Larger instances, which the driver may not hold, are
   counted by batched ``count_distinct(struct(...))`` aggregations: one
   Spark job validates a whole lattice level and Catalyst's column
@@ -61,22 +64,14 @@ class FDEngine:
 
     The instance's type picks the path: a Spark DataFrame is counted by
     one of the two kernels above, a pandas frame by ``drop_duplicates``.
-    ``n_rows`` is the exact row count if the caller knows it (skips a
-    count job); ``max_rows`` an upper bound on it, enough to pick the
-    kernel without counting first.
+    ``n_rows`` is the exact row count if the caller knows it: the kernel
+    is then picked without reading the instance.
     """
 
-    def __init__(
-        self,
-        df: DataFrame | pd.DataFrame,
-        *,
-        n_rows: int | None = None,
-        max_rows: int | None = None,
-    ):
+    def __init__(self, df: DataFrame | pd.DataFrame, *, n_rows: int | None = None):
         self.df = df
         self._cache: dict[frozenset[str], int] = {}
         self._nrows: int | None = n_rows  # pre-known row count skips a job
-        self._max_rows = max_rows
         # column -> (dictionary codes, cardinality) once collected, None
         # on the Spark kernel; the kernel is picked on first use.
         self._codes: dict[str, tuple[np.ndarray, int]] | None = None
@@ -84,6 +79,12 @@ class FDEngine:
         self.jobs = 0  # number of Spark jobs issued
 
     # -- kernel choice -----------------------------------------------------
+    def in_process(self) -> bool:
+        """Whether the Spark instance is counted in process. The first
+        call picks the kernel, collecting the instance if it is small
+        enough."""
+        return self._collected() is not None
+
     def _collected(self) -> dict[str, tuple[np.ndarray, int]] | None:
         """The in-process codes, collecting on first use if the instance
         is small enough; None if it stays on Spark."""
@@ -98,14 +99,14 @@ class FDEngine:
             isinstance(f.dataType, (ArrayType, MapType, StructType)) for f in fields
         ):
             return None
-        rows = self._nrows if self._nrows is not None else self._max_rows
-        if rows is None:
-            rows = self._nrows = self.df.count()
-            self.jobs += 1
-        if rows * len(fields) >= _COLLECT_CELLS:
+        fit = (_COLLECT_CELLS - 1) // len(fields)  # most rows under the cap
+        if self._nrows is not None and self._nrows > fit:
             return None
-        table = self.df.toArrow()
+        df = self.df if self._nrows is not None else self.df.limit(fit + 1)
+        table = df.toArrow()
         self.jobs += 1
+        if table.num_rows > fit:
+            return None
         self._nrows = table.num_rows
         return {
             name: _encode(col) for name, col in zip(table.column_names, table.columns)

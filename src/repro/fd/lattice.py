@@ -10,9 +10,10 @@ Pruning rules (all sound):
 - *known/found pruning* — a candidate ``X -> y`` is skipped when a valid
   FD ``W -> y`` with ``W ⊆ X`` is already known: the candidate could only
   be valid-but-non-minimal.
-- *key pruning* — once ``distinct(X) == n_rows``, ``X`` determines every
-  attribute; minimal key-FDs are emitted and the node is not expanded
-  (TANE).
+- *key pruning* — once ``distinct(X) == distinct(attrs)``, ``X``
+  determines every attribute; minimal key-FDs are emitted and the node
+  is not expanded (TANE). Counting the set of tuples, not the rows, lets
+  it fire on an instance with duplicate rows (a join side).
 - *free-set pruning* (optional; FUN) — if ``distinct(X) == distinct(X\{a})``
   then ``X\{a} -> a`` holds, so any FD with lhs ``X`` is non-minimal and
   no superset of ``X`` can carry a minimal FD; the subtree is cut.
@@ -61,10 +62,11 @@ def mine_fds(
         found.add(d)
         idx.setdefault(d.rhs, []).append(d.lhs_set())
 
-    n = engine.n_rows()
+    universe = frozenset(rhs_pool) | frozenset(attrs)
 
     # Level 0: constant attributes (∅ -> y).
-    engine.prefetch([frozenset([y]) for y in set(rhs_pool) | set(attrs)])
+    engine.prefetch([universe] + [frozenset([y]) for y in universe])
+    n = engine.distinct_count(universe)
     for y in rhs_pool:
         lhs0 = frozenset()
         if not pruned(lhs0, y) and engine.distinct_count([y]) <= 1:

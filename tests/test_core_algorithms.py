@@ -2,6 +2,7 @@
 import pandas as pd
 import pytest
 
+import repro.core.join_upstaged as join_upstaged
 from repro.core.infer_fds import infer_join_fds
 from repro.core.join_upstaged import process_side
 from repro.core.mine_join_fds import mine_join_fds
@@ -55,24 +56,12 @@ class TestSelectionFDs:
         assert FD(["a"], "b") not in out and FD([], "c") not in out
 
 
-def _factory():
-    """An engine factory for ``process_side`` and the engines it built."""
-    built: list[FDEngine] = []
-
-    def make(df, **hints):
-        built.append(FDEngine(df, **hints))
-        return built[-1]
-
-    return make, built
-
-
 class TestJoinUpstaged:
     def test_inner_loses_side_mined(self, join_case):
         L, R, sL, sR, join = join_case
         out = process_side(
-            sL, 5, brute_force_fds(L), sR, join, ("k",),
-            frozenset(L.columns) | frozenset(R.columns),
-            loses=True, padded=False, make_engine=FDEngine,
+            FDEngine(sL), brute_force_fds(L), FDEngine(join), frozenset(L.columns),
+            loses=True, padded=False,
         )
         assert FD(["flag"], "v") in out.upstaged
         assert not out.dropped
@@ -80,12 +69,12 @@ class TestJoinUpstaged:
     def test_no_loss_short_circuit(self, join_case):
         L, R, sL, sR, join = join_case
         fds = brute_force_fds(R)
-        make, built = _factory()
+        side, joined = FDEngine(sR), FDEngine(join)
         out = process_side(
-            sR, 4, fds, sL, join, ("k",), frozenset(R.columns),
-            loses=False, padded=False, make_engine=make,
+            side, fds, joined, frozenset(R.columns), loses=False, padded=False,
         )
-        assert out.kept == fds and not out.upstaged and not built
+        assert out.kept == fds and not out.upstaged
+        assert side.jobs == joined.jobs == 0
 
     def test_padded_validation_drops_broken_fd(self, spark):
         # left join pads right attrs with NULLs; rhs x has a NULL vs value
@@ -95,20 +84,36 @@ class TestJoinUpstaged:
         join = sL.join(sR, on=["k"], how="left")
         # claim const-x on R ( -> x ) — broken by padding in the view
         out = process_side(
-            sR, 1, fdset("->x", "->w"), sL, join, ("k",),
+            FDEngine(sR), fdset("->x", "->w"), FDEngine(join),
             frozenset(["k", "x", "w"]), loses=True, padded=True,
-            make_engine=FDEngine,
         )
         assert FD([], "x") in out.dropped and FD([], "w") in out.dropped
 
-    def test_semi_reduction_counts(self, join_case):
+    def test_semi_reduction_counts(self, spark, join_case, monkeypatch):
+        """A losing side is mined iff the join shrinks its set of tuples,
+        and the two collects are the only Spark jobs."""
         L, R, sL, sR, join = join_case
-        make, built = _factory()
-        process_side(
-            sL, 5, set(), sR, join, ("k",), frozenset(L.columns),
-            loses=True, padded=False, make_engine=make,
+        mined = []
+        monkeypatch.setattr(
+            join_upstaged, "mine_fds", lambda e, cols, **kw: mined.append(cols) or set()
         )
-        assert built[0].n_rows() == 4  # k=9 dropped
+        # L loses k=9: four distinct L tuples on the join, five on L.
+        side, joined = FDEngine(sL), FDEngine(join)
+        process_side(
+            side, set(), joined, frozenset(L.columns), loses=True, padded=False,
+        )
+        assert mined == [frozenset(L.columns)]
+        assert side.jobs == joined.jobs == 1
+        # Each R tuple meets two L tuples: the join has twice R's rows but
+        # the same set of R tuples, so R gains no FD and is not mined.
+        L2 = spark.createDataFrame(pd.concat([L, L]).query("k != 9"))
+        join2 = L2.join(sR, on=["k"], how="inner")
+        side, joined = FDEngine(sR), FDEngine(join2)
+        process_side(
+            side, set(), joined, frozenset(R.columns), loses=True, padded=False,
+        )
+        assert joined.n_rows() == 2 * side.n_rows()
+        assert mined == [frozenset(L.columns)]
 
 
 class TestInferFDs:

@@ -132,25 +132,38 @@ class TestKernelChoice:
         assert e.jobs == (1 if in_process else len(sets))
         assert all(e.distinct_count(s) == FDEngine(pdf).distinct_count(s) for s in sets)
 
-    def test_row_bound_skips_count(self, spark, pdf):
-        e = FDEngine(spark.createDataFrame(pdf), max_rows=100)
-        assert e.n_rows() == 40
+    def test_small_instance_one_collect(self, spark, pdf):
+        e = FDEngine(spark.createDataFrame(pdf))
         e.prefetch([frozenset("ab")])
+        assert e.n_rows() == 40
         assert e.jobs == 1  # the collect; the row count comes from it
 
-    def test_unknown_row_count_counts_first(self, spark, pdf, monkeypatch):
+    @pytest.mark.parametrize("rows, in_process", [(40, True), (41, False)])
+    def test_collect_bounded_at_fit(self, spark, monkeypatch, rows, in_process):
+        # 5 columns under a 201-cell cap: fit = 40 rows.
+        monkeypatch.setattr(engine_mod, "_COLLECT_CELLS", 201)
+        big = random_table(4, n=41)
+        e = FDEngine(spark.createDataFrame(big.head(rows)))
+        assert e.in_process() is in_process
+        assert e.jobs == 1  # the bounded collect, even when it overflows
+        assert e.n_rows() == rows
+        assert e.jobs == (1 if in_process else 2)
+
+    def test_above_cap_counts_on_spark(self, spark, pdf, monkeypatch):
         monkeypatch.setattr(engine_mod, "_COLLECT_CELLS", 100)
         e = FDEngine(spark.createDataFrame(pdf))
+        sets = [frozenset("ab"), frozenset("c"), frozenset("ace")]
+        e.prefetch(sets)
+        assert not e.in_process()
+        assert e.jobs == 2  # 200 cells: one bounded collect, one count batch
+        assert all(e.distinct_count(s) == FDEngine(pdf).distinct_count(s) for s in sets)
         assert e.n_rows() == 40
-        assert e.jobs == 1
-        e.prefetch([frozenset("ab"), frozenset("c")])
-        assert e.jobs == 2  # 200 cells: counted on Spark
 
     def test_nested_columns_stay_on_spark(self, spark):
         df = spark.createDataFrame([([1, 2], 1), ([1, 2], 2), ([3], 1)], "a array<int>, b int")
         e = FDEngine(df, n_rows=3)
         assert e.distinct_count(["a"]) == 2 and e.distinct_count(["a", "b"]) == 3
-        assert e._collected() is None
+        assert not e.in_process()
 
 
 class TestViolatingPair:

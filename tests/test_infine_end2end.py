@@ -1,11 +1,15 @@
 """End-to-end InFine: the final FD set must equal direct mining of the
 materialized view (completeness + correctness, Theorems 5-6), and the
 provenance annotation must be internally consistent."""
+import contextlib
+
 import pandas as pd
 import pytest
 
+import repro.core.infine as infine_mod
 from repro.core import provenance as P
 from repro.core.infine import run_infine
+from repro.core.mine_join_fds import mine_join_fds
 from repro.fd.bruteforce import brute_force_fds
 from repro.views.spec import BaseRel, Join, Project, Select
 from tests.helpers import random_join_pair, random_table
@@ -78,6 +82,71 @@ class TestRandomizedEquivalence:
         res = run_infine(tables, spec)
         ref = brute_force_fds(spec.instance(tables).toPandas())
         assert res.fds == ref, (sorted(map(str, ref ^ res.fds)))
+
+
+@pytest.mark.usefixtures("spark_kernel")
+class TestRandomizedEquivalenceSparkKernel(TestRandomizedEquivalence):
+    """One seed per shape on the Spark kernel, where every instance stays
+    on Spark and is cached."""
+
+    @pytest.mark.parametrize("seed", [0])
+    def test_inner_join(self, spark, seed):
+        super().test_inner_join(spark, seed)
+
+    @pytest.mark.parametrize("seed", [0])
+    @pytest.mark.parametrize("how", ["left", "right", "full"])
+    def test_outer_joins(self, spark, seed, how):
+        super().test_outer_joins(spark, seed, how)
+
+    @pytest.mark.parametrize("seed", [0])
+    def test_semi_join(self, spark, seed):
+        super().test_semi_join(spark, seed)
+
+    @pytest.mark.parametrize("seed", [0])
+    def test_selection_over_join(self, spark, seed):
+        super().test_selection_over_join(spark, seed)
+
+    @pytest.mark.parametrize("seed", [0])
+    def test_projection_over_join(self, spark, seed):
+        super().test_projection_over_join(spark, seed)
+
+    @pytest.mark.parametrize("seed", [0])
+    def test_three_way_join(self, spark, seed):
+        super().test_three_way_join(spark, seed)
+
+
+class TestNoCacheLeak:
+    """A run caches only instances that stay on Spark, and unpersists
+    them when it ends, also when it fails mid-view."""
+
+    @pytest.mark.parametrize("kernel", ["in_process", "spark"])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_cached_instances_unpersisted(self, spark, request, monkeypatch, kernel, fail):
+        if kernel == "spark":
+            request.getfixturevalue("spark_kernel")
+        jsc = spark.sparkContext._jsc
+        during = []
+
+        def persistent():  # each call takes a fresh snapshot
+            return jsc.getPersistentRDDs().size()
+
+        def stage(join_engine, *args, **kwargs):
+            during.append((persistent(), join_engine.df.is_cached))
+            if fail:
+                raise RuntimeError("fails mid-view")
+            return mine_join_fds(join_engine, *args, **kwargs)
+
+        monkeypatch.setattr(infine_mod, "mine_join_fds", stage)
+        L, R = random_join_pair(2)
+        tables = _tables(spark, L=L, R=R)
+        spec = Select(Join(BaseRel("L"), BaseRel("R"), on=("k",)), "a < 2")
+        before = persistent()
+        with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
+            run_infine(tables, spec)
+        assert persistent() == before
+        # L, R and their join are cached on the Spark kernel, never in process.
+        on_spark = kernel == "spark"
+        assert during == [(before + 3 * on_spark, on_spark)]
 
 
 class TestBaseCase:
@@ -161,3 +230,9 @@ class TestTimingsAndStats:
         }
         assert res.timings["base"] > 0 and res.timings["io"] > 0
         assert res.spark_jobs > 0
+
+    def test_one_collect_per_view_node(self, spark):
+        L, R = random_join_pair(11)
+        tables = _tables(spark, L=L, R=R)
+        spec = Select(Join(BaseRel("L"), BaseRel("R"), on=("k",)), "a < 2")
+        assert run_infine(tables, spec).spark_jobs == 4  # L, R, L ⋈ R, σ

@@ -1,8 +1,12 @@
 """The paper's theorems and lemmas, encoded as executable properties."""
+from itertools import combinations
+
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.fd.bruteforce import brute_force_fds
+from repro.fd.engine import FDEngine
 from repro.fd.model import FD, closure
 from tests.helpers import random_join_pair, random_table
 
@@ -56,6 +60,41 @@ class TestLemma2Upstaged:
         reduced = L[L.k.isin(R.k)]
         assert FD(["flag"], "v") in brute_force_fds(reduced)
         assert FD(["flag"], "v") in brute_force_fds(_join(L, R))
+
+
+class TestLemma2JoinProjection:
+    """Lemma 2 as InFine counts it: over a side's attributes, the side's
+    projection of an inner or semi join holds the same set of tuples as
+    the side reduced by a semijoin (neither join matches a NULL key), so
+    every distinct count, and with it every FD, agrees."""
+
+    @staticmethod
+    def _side(spark, g, n, names):
+        rows = [
+            tuple(None if g.random() < 0.2 else int(g.integers(0, 3)) for _ in range(2))
+            + tuple(int(g.integers(0, 3)) for _ in names[2:])
+            for _ in range(n)
+        ]
+        rows += rows[: n // 3]  # duplicate rows
+        return spark.createDataFrame(rows, ", ".join(f"{c} int" for c in names))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("how", ["inner", "left_semi"])
+    def test_every_subset_counts_alike(self, spark, seed, how):
+        g = np.random.default_rng(seed)
+        K = ["k1", "k2"]  # NULLs in either part, duplicate keys on both sides
+        L = self._side(spark, g, 30, K + ["a", "b"])
+        R = self._side(spark, g, 12, K + ["x"])
+        for side, other in [(L, R), (R, L)] if how == "inner" else [(L, R)]:
+            cols = side.columns
+            joined = FDEngine(side.join(other, on=K, how=how).select(*cols))
+            reduced = FDEngine(side.join(other.select(*K).distinct(), on=K, how="left_semi"))
+            assert reduced.n_rows() < FDEngine(side).n_rows()  # the join drops tuples
+            if how == "inner":  # and repeats others: the bags differ, the sets agree
+                assert joined.n_rows() > reduced.n_rows()
+            for r in range(1, len(cols) + 1):
+                for c in combinations(cols, r):
+                    assert joined.distinct_count(c) == reduced.distinct_count(c), c
 
 
 class TestLemma3:
