@@ -3,20 +3,22 @@ through the join attributes, then minimality refinement on a partial join.
 
 Theorem 2: if ``A → K`` holds on one side and ``K → b`` on the other,
 then ``A → b`` holds on the (inner) join. The ``infer`` subroutine
-enumerates those; ``refine`` then searches proper lhs subsets on the
+enumerates those; ``refine`` then searches the lhs subsets on the
 *partial* join — Catalyst only scans the columns involved, which is the
 paper's "horizontal partition with only the necessary attributes".
 
-For non-inner joins NULL padding can break Theorem 2's premise, so the
-raw inferred FDs are additionally validated against the join instance
-(a deviation documented in DESIGN.md, required for correctness).
+``refine`` is the shared lattice miner over the union of the raw lhs's,
+with each candidate ``C → b`` kept plausible only while ``C`` lies
+inside some raw lhs of ``b``. The raw FDs are checked as ordinary
+candidates, so no join operator needs Theorem 2's premise to hold: an
+FD the miner emits is valid on the join instance.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
 from repro.fd.engine import FDEngine
+from repro.fd.lattice import mine_fds
 from repro.fd.model import FD, by_rhs, determines, has_subset_fd
 
 
@@ -29,16 +31,23 @@ def infer_join_fds(
     fds_right: Iterable[FD],
     *,
     scope: frozenset[str],
-    validate_raw: bool = False,
 ) -> set[FD]:
     """Both directions of Algorithm 4 (lines 3-4) plus ``refine``."""
     fds_left, fds_right = set(fds_left), set(fds_right)
     idx_l, idx_r = by_rhs(fds_left), by_rhs(fds_right)
-    raw: set[FD] = set()
-    raw |= _infer_one_direction(K, atts_left, atts_right, fds_left, idx_l, idx_r, scope)
+    raw = _infer_one_direction(K, atts_left, atts_right, fds_left, idx_l, idx_r, scope)
     raw |= _infer_one_direction(K, atts_right, atts_left, fds_right, idx_r, idx_l, scope)
-    known_idx = by_rhs(fds_left | fds_right)
-    return _refine(join_engine, raw, known_idx, validate_raw=validate_raw)
+    if not raw:
+        return set()
+    # Subroutine ``refine``: the minimal valid lhs subsets of every raw FD.
+    raw_lhs = by_rhs(raw)
+    return mine_fds(
+        join_engine,
+        frozenset().union(*(d.lhs_set() for d in raw)),
+        known=fds_left | fds_right,
+        rhs_pool=raw_lhs.keys(),
+        plausible=lambda lhs, y: any(lhs <= a for a in raw_lhs[y]),
+    )
 
 
 def _infer_one_direction(K, atts_src, atts_dst, fds_src, idx_src, idx_dst, scope):
@@ -59,56 +68,3 @@ def _infer_one_direction(K, atts_src, atts_dst, fds_src, idx_src, idx_dst, scope
     return {
         FD(a, b) for a in lhs_cands for b in rhs_pool if b not in a
     }
-
-
-def _refine(engine, raw, known_idx, *, validate_raw):
-    """Subroutine ``refine``: per inferred FD, find the minimal valid lhs
-    subsets on the partial join. Levels are processed jointly across all
-    rhs attributes so each subset size costs O(1) Spark jobs."""
-    out: set[FD] = set()
-    by_target: dict[str, set[frozenset[str]]] = {}
-    for d in raw:
-        by_target.setdefault(d.rhs, set()).add(d.lhs_set())
-    if not by_target:
-        return out
-    minimal: dict[str, list[frozenset[str]]] = {rhs: [] for rhs in by_target}
-    max_size = max(len(a) for lhss in by_target.values() for a in lhss)
-    for size in range(0, max_size + 1):
-        level: list[FD] = []
-        full: set[FD] = set()
-        for rhs, lhss in sorted(by_target.items()):
-            cands = set()
-            for a in lhss:
-                if len(a) > size:
-                    cands.update(frozenset(c) for c in combinations(sorted(a), size))
-                elif len(a) == size:
-                    cands.add(a)
-            for c in sorted(cands, key=sorted):
-                if any(m <= c for m in minimal[rhs]):
-                    continue  # already subsumed by a smaller valid lhs
-                if has_subset_fd(known_idx, c, rhs):
-                    # subsumed by an already-known (single-side) FD: the
-                    # inferred FD is non-minimal, nothing new to emit.
-                    minimal[rhs].append(c)
-                    continue
-                d = FD(c, rhs)
-                level.append(d)
-                if c in lhss:
-                    full.add(d)
-        if not level:
-            continue
-        # Raw FDs are valid by Theorem 2 on inner joins (checked only
-        # when validate_raw, i.e. outer joins); proper subsets must
-        # always be checked against the data.
-        results = engine.check_fds([d for d in level if d not in full])
-        if validate_raw:
-            results.update(engine.check_fds(sorted(full)))
-        else:
-            results.update({d: True for d in full})
-        for d in level:
-            if results.get(d, False) and not any(
-                m <= d.lhs_set() for m in minimal[d.rhs]
-            ):
-                minimal[d.rhs].append(d.lhs_set())
-                out.add(d)
-    return out

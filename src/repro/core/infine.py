@@ -19,8 +19,9 @@ Both sides of a join are counted on the join's engine (Lemma 2, see
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from pyspark.sql import DataFrame
 
@@ -112,11 +113,19 @@ class _Run:
             df = df.select(*cols)
         e = FDEngine(df)
         self.engines.append(e)
-        t0 = time.perf_counter()
-        if not e.in_process():
-            self.cached.append(df.cache())
-        self.timings["io"] += time.perf_counter() - t0
+        with self.timed("io"):
+            if not e.in_process():
+                self.cached.append(df.cache())
         return e
+
+    @contextmanager
+    def timed(self, stage: str) -> Iterator[None]:
+        """Add the wall time of the block to ``timings[stage]``."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[stage] += time.perf_counter() - t0
 
     @property
     def spark_jobs(self) -> int:
@@ -149,9 +158,8 @@ def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
         df = spec.instance(run.tables)
         engine = run.engine(df)
         attrs = frozenset(df.columns)
-        t0 = time.perf_counter()
-        fds = mine_fds(engine, run.scope & attrs)
-        run.timings["base"] += time.perf_counter() - t0
+        with run.timed("base"):
+            fds = mine_fds(engine, run.scope & attrs)
         triples = [Triple(d, P.BASE, spec.label()) for d in sorted(fds)]
         return _Node(df, engine, attrs, triples)
 
@@ -169,14 +177,13 @@ def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
         child = _prov_fds(run, spec.child)
         df = child.df.filter(spec.predicate)
         engine = run.engine(df)
-        t0 = time.perf_counter()
-        new = selection_upstaged(
-            engine,
-            child.engine.n_rows(),
-            run.scope & child.attrs,
-            [t.fd for t in child.triples],
-        )
-        run.timings["selection"] += time.perf_counter() - t0
+        with run.timed("selection"):
+            new = selection_upstaged(
+                engine,
+                child.engine.n_rows(),
+                run.scope & child.attrs,
+                [t.fd for t in child.triples],
+            )
         triples = child.triples + [
             Triple(d, P.UPSTAGED_SELECTION, spec.label()) for d in sorted(new)
         ]
@@ -187,84 +194,70 @@ def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
     raise TypeError(f"unknown view node {type(spec).__name__}")
 
 
+# Per join operator, whether the (left, right) side keeps every tuple.
+# A side that does not loses tuples (Alg. 3 line 14); a side whose other
+# side keeps every tuple is NULL-padded where that side has no match.
+_KEEPS = {
+    "inner": (False, False),
+    "semi": (False, False),
+    "left": (True, False),
+    "right": (False, True),
+    "full": (True, True),
+}
+
+
 def _join_node(run: _Run, spec: Join) -> _Node:
     left = _prov_fds(run, spec.left)
     right = _prov_fds(run, spec.right)
-    K = tuple(spec.on)
+    K = frozenset(spec.on)
     label = spec.label()
-    join_df = left.df.join(right.df, on=list(K), how=_SPARK_HOW[spec.how])
+    join_df = left.df.join(right.df, on=list(spec.on), how=_SPARK_HOW[spec.how])
     join_engine = run.engine(join_df)
-
-    if spec.how == "semi":
-        # Output carries only the left attributes; the semijoin can only
-        # drop left tuples, so only left upstaged FDs can appear.
-        t0 = time.perf_counter()
-        out = process_side(
-            left.engine, [t.fd for t in left.triples], join_engine,
-            run.scope & left.attrs, loses=True, padded=False,
-        )
-        run.timings["upstage_join"] += time.perf_counter() - t0
-        triples = left.triples + [
-            Triple(d, P.UPSTAGED_LEFT, label) for d in sorted(out.upstaged)
-        ]
-        return _Node(join_df, join_engine, left.attrs, P.minimize_triples(triples))
-
-    loses = {
-        "inner": (True, True),
-        "left": (False, True),
-        "right": (True, False),
-        "full": (False, False),
-    }[spec.how]
-    padded = spec.how != "inner"
-
-    sides = []
-    for (node, tag, lose) in (
-        (left, P.UPSTAGED_LEFT, loses[0]),
-        (right, P.UPSTAGED_RIGHT, loses[1]),
-    ):
-        t0 = time.perf_counter()
-        out = process_side(
-            node.engine, [t.fd for t in node.triples], join_engine,
-            run.scope & node.attrs,
-            loses=lose, padded=padded and (lose or spec.how == "full"),
-        )
-        run.timings["upstage_join"] += time.perf_counter() - t0
-        sides.append((node, tag, out))
+    keeps = _KEEPS[spec.how]
+    # A semijoin outputs only the left attributes: only left upstaged FDs
+    # can appear, and there is nothing to infer or mine across sides.
+    sides = [(left, P.UPSTAGED_LEFT)]
+    if spec.how != "semi":
+        sides.append((right, P.UPSTAGED_RIGHT))
 
     kept_triples: list[Triple] = []
     side_full: list[set[FD]] = []
-    for node, tag, out in sides:
+    for i, (node, tag) in enumerate(sides):
+        with run.timed("upstage_join"):
+            out = process_side(
+                node.engine, [t.fd for t in node.triples], join_engine,
+                run.scope & node.attrs,
+                loses=not keeps[i], padded=keeps[1 - i],
+            )
         kept_triples += [t for t in node.triples if t.fd in out.kept]
         kept_triples += [Triple(d, tag, label) for d in sorted(out.upstaged)]
         side_full.append(out.kept | out.upstaged)
+    if spec.how == "semi":
+        return _Node(join_df, join_engine, left.attrs, P.minimize_triples(kept_triples))
 
-    t0 = time.perf_counter()
-    inferred = infer_join_fds(
-        join_engine,
-        frozenset(K),
-        left.attrs,
-        right.attrs,
-        side_full[0],
-        side_full[1],
-        scope=run.scope,
-        validate_raw=(spec.how != "inner"),
-    )
-    run.timings["infer"] += time.perf_counter() - t0
+    with run.timed("infer"):
+        inferred = infer_join_fds(
+            join_engine,
+            K,
+            left.attrs,
+            right.attrs,
+            side_full[0],
+            side_full[1],
+            scope=run.scope,
+        )
     inf_triples = [Triple(d, P.INFERRED, label) for d in sorted(inferred)]
 
-    t0 = time.perf_counter()
-    known = side_full[0] | side_full[1] | inferred
-    mined = mine_join_fds(
-        join_engine,
-        run.scope & (left.attrs | right.attrs),
-        frozenset(K),
-        left.attrs,
-        right.attrs,
-        side_full[0],
-        side_full[1],
-        known,
-    )
-    run.timings["mine_join"] += time.perf_counter() - t0
+    with run.timed("mine_join"):
+        mined = mine_join_fds(
+            join_engine,
+            run.scope & (left.attrs | right.attrs),
+            K,
+            left.attrs,
+            right.attrs,
+            side_full[0],
+            side_full[1],
+            side_full[0] | side_full[1] | inferred,
+        )
     mine_triples = [Triple(d, P.JOIN_FD, label) for d in sorted(mined)]
 
     triples = P.minimize_triples(kept_triples + inf_triples + mine_triples)

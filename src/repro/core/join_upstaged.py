@@ -37,7 +37,6 @@ class SideOutcome:
 
     kept: set[FD]  # inherited FDs still valid on the view's side projection
     upstaged: set[FD]  # newly valid FDs on the side
-    dropped: set[FD]  # inherited FDs invalidated by NULL padding (outer only)
 
 
 def process_side(
@@ -53,17 +52,16 @@ def process_side(
     attributes in the mining scope; both engines' instances hold them."""
     side_fds = set(side_fds)
     if not loses and not padded:
-        return SideOutcome(kept=side_fds, upstaged=set(), dropped=set())
+        return SideOutcome(kept=side_fds, upstaged=set())
 
-    kept, dropped = side_fds, set()
+    kept = side_fds
     if padded:
         checks = join_engine.check_fds(sorted(side_fds))
         kept = {d for d, ok in checks.items() if ok}
-        dropped = side_fds - kept
 
     upstaged: set[FD] = set()
     if loses and (
         padded or join_engine.distinct_count(cols) < side_engine.distinct_count(cols)
     ):
         upstaged = mine_fds(join_engine, cols, known=kept)
-    return SideOutcome(kept=kept, upstaged=upstaged, dropped=dropped)
+    return SideOutcome(kept=kept, upstaged=upstaged)

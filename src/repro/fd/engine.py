@@ -30,9 +30,10 @@ NULL as a value of its own and by normalizing floats before encoding,
 since Arrow alone tells ``-0.0`` from ``0.0`` and NaN payloads apart.
 
 A pandas frame is counted with ``drop_duplicates``: an independent
-reference for tests and the benchmark's correctness gate. It sees the
-data through ``toPandas()``, which maps NULL and NaN in a float column
-to the same NaN, so on such columns it is no reference.
+reference for tests and the benchmark's correctness gate. It counts
+None apart from NaN in an object column, but it sees Spark data through
+``toPandas()``, which maps NULL and NaN in a float column to the same
+NaN, so on such columns it is no reference.
 """
 from __future__ import annotations
 
@@ -57,6 +58,7 @@ _BATCH = 32
 # tens of MB of Arrow data and 16 MB of int64 codes.
 _COLLECT_CELLS = 2_000_000
 _INT64_MAX = 2**63 - 1
+_NONE = object()  # stands for None in a pandas object column
 
 
 class FDEngine:
@@ -69,6 +71,8 @@ class FDEngine:
     """
 
     def __init__(self, df: DataFrame | pd.DataFrame, *, n_rows: int | None = None):
+        if isinstance(df, pd.DataFrame):
+            df = _none_apart(df)
         self.df = df
         self._cache: dict[frozenset[str], int] = {}
         self._nrows: int | None = n_rows  # pre-known row count skips a job
@@ -178,6 +182,17 @@ class FDEngine:
             wanted.append(d.attrs())
         self.prefetch(w for w in wanted if w)
         return {d: self.holds(d.lhs_set(), d.rhs) for d in fds}
+
+
+def _none_apart(pdf: pd.DataFrame) -> pd.DataFrame:
+    """``pdf`` with None in an object column replaced by a stand-in.
+    ``drop_duplicates`` over several columns takes None and NaN there for
+    one value, and over one column for two; with the stand-in both count
+    them apart, as Spark does."""
+    obj = [c for c in pdf.columns if pdf[c].dtype == object and pdf[c].isna().any()]
+    if not obj:
+        return pdf
+    return pdf.assign(**{c: pdf[c].map(lambda v: _NONE if v is None else v) for c in obj})
 
 
 def _encode(col: pa.ChunkedArray) -> tuple[np.ndarray, int]:

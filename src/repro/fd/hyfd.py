@@ -14,6 +14,7 @@ candidates validate; the result is exactly the minimal FD set.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -22,11 +23,17 @@ from repro.fd.engine import FDEngine
 from repro.fd.model import FD, minimize
 
 
+def _is_nan(v) -> bool:
+    return isinstance(v, (float, np.floating)) and np.isnan(v)
+
+
 def _agree_set(row1: dict, row2: dict, attrs: list[str]) -> frozenset[str]:
+    """The attributes on which two rows agree, with the engine's equality:
+    NULL (None) equals NULL, NaN equals NaN, and NULL differs from NaN."""
     out = []
     for a in attrs:
         v1, v2 = row1[a], row2[a]
-        if v1 == v2 or (pd.isna(v1) and pd.isna(v2)):
+        if v1 == v2 or (v1 is None and v2 is None) or (_is_nan(v1) and _is_nan(v2)):
             out.append(a)
     return frozenset(out)
 
@@ -85,7 +92,9 @@ def _sample_rows(df: DataFrame | pd.DataFrame, n: int, n_rows: int) -> pd.DataFr
             return df.copy()
         return df.sample(n=n, random_state=0).reset_index(drop=True)
     frac = min(1.0, n / max(1, n_rows) * 1.2)
-    return df.sample(fraction=frac, seed=0).limit(n).toPandas()
+    rows = df.sample(fraction=frac, seed=0).limit(n).collect()
+    # From rows, not toPandas(), which makes NULL in a float column NaN.
+    return pd.DataFrame([tuple(r) for r in rows], columns=df.columns, dtype=object)
 
 
 def _violating_pair(

@@ -2,10 +2,12 @@ r"""Generic level-wise (lattice) FD miner.
 
 One miner serves all the paper's lattice searches: base-table mining
 (Alg. 1 step 1), upstaged-FD mining on filtered/reduced instances
-(Alg. 2 / Alg. 3, via ``known``), and selective join-FD mining
-(Alg. 5, via the ``plausible`` hook implementing Theorem 4).
+(Alg. 2 / Alg. 3, via ``known``), the minimality refinement of inferred
+FDs (Alg. 4's ``refine``, via ``plausible``: lhs subsets of an inferred
+lhs only), and selective join-FD mining (Alg. 5, via the ``plausible``
+hook implementing Theorem 4).
 
-Pruning rules (all sound):
+Pruning rules (all but the caller's hook are sound):
 
 - *known/found pruning* — a candidate ``X -> y`` is skipped when a valid
   FD ``W -> y`` with ``W ⊆ X`` is already known: the candidate could only
@@ -17,8 +19,8 @@ Pruning rules (all sound):
 - *free-set pruning* (optional; FUN) — if ``distinct(X) == distinct(X\{a})``
   then ``X\{a} -> a`` holds, so any FD with lhs ``X`` is non-minimal and
   no superset of ``X`` can carry a minimal FD; the subtree is cut.
-- *plausible hook* — caller-supplied sound test (Theorem 4 / Lemma 3 in
-  join-FD mining).
+- *plausible hook* — caller-supplied test: sound (Theorem 4 / Lemma 3 in
+  join-FD mining) or closed under subsets (the lhs scope of ``refine``).
 
 Distinct counts are prefetched per level so each level costs O(1) Spark
 jobs regardless of candidate count.
@@ -45,8 +47,10 @@ def mine_fds(
 
     ``known`` FDs must be valid on the instance; they are used for pruning
     only and never re-emitted. ``rhs_pool`` restricts which attributes may
-    appear as rhs. ``plausible(lhs, rhs)`` may veto candidates; it must be
-    sound (never veto a valid minimal FD).
+    appear as rhs. ``plausible(lhs, rhs)`` may veto candidates. If it is
+    sound (never vetoes a valid minimal FD), no minimal FD is missed; if
+    it admits every subset of an admitted lhs, the result is every
+    minimal FD with an admitted lhs.
     """
     attrs = tuple(sorted(set(attrs)))
     rhs_pool = tuple(sorted(set(rhs_pool))) if rhs_pool is not None else attrs

@@ -11,7 +11,7 @@ from repro.fd.fun import fun_on_engine
 from repro.fd.hyfd import hyfd
 from repro.fd.model import FD
 from repro.fd.tane import tane_on_engine
-from tests.helpers import random_table
+from tests.helpers import fdset, random_table
 
 SEEDS = range(8)
 
@@ -108,6 +108,29 @@ class TestHyFD:
     def test_spark_backend(self, spark):
         pdf = random_table(3, n=20)
         assert hyfd(spark.createDataFrame(pdf)) == brute_force_fds(pdf)
+
+    @pytest.mark.parametrize(
+        "rows,schema,expected",
+        [
+            ([(1, None), (1, float("nan")), (2, 3.0)], "a long, y double", ["y->a"]),
+            # the sample holds the NULL/NaN pair, so phase 1 must see it too
+            ([(None, 1), (float("nan"), 2)], "y double, z long", ["y->z", "z->y"]),
+        ],
+        ids=["validated", "sampled"],
+    )
+    def test_null_differs_from_nan(self, spark, rows, schema, expected):
+        """NULL and NaN in one float column are two values to the engine;
+        HyFD must agree, or it never specializes the violated candidate."""
+        df = spark.createDataFrame(rows, schema)
+        fun = fun_on_engine(FDEngine(df), df.columns)
+        assert fun == fdset(*expected)
+        assert hyfd(df, max_rounds=20) == fun
+
+    def test_null_differs_from_nan_pandas(self):
+        pdf = pd.DataFrame({"a": [1, 1, 2], "y": [None, np.nan, 3.0]}, dtype=object)
+        fun = fun_on_engine(FDEngine(pdf), pdf.columns)
+        assert fun == fdset("y->a")
+        assert hyfd(pdf, max_rounds=20) == fun
 
 
 class TestCrossAlgorithm:

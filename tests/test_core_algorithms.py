@@ -1,4 +1,5 @@
 """Unit tests for the InFine component algorithms (Alg. 2-5)."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -9,7 +10,7 @@ from repro.core.mine_join_fds import mine_join_fds
 from repro.core.selection_fds import selection_upstaged
 from repro.fd.bruteforce import brute_force_fds
 from repro.fd.engine import FDEngine
-from repro.fd.model import FD
+from repro.fd.model import FD, by_rhs, has_subset_fd
 from tests.helpers import fdset
 
 
@@ -59,12 +60,13 @@ class TestSelectionFDs:
 class TestJoinUpstaged:
     def test_inner_loses_side_mined(self, join_case):
         L, R, sL, sR, join = join_case
+        fds = brute_force_fds(L)
         out = process_side(
-            FDEngine(sL), brute_force_fds(L), FDEngine(join), frozenset(L.columns),
+            FDEngine(sL), fds, FDEngine(join), frozenset(L.columns),
             loses=True, padded=False,
         )
         assert FD(["flag"], "v") in out.upstaged
-        assert not out.dropped
+        assert out.kept == fds
 
     def test_no_loss_short_circuit(self, join_case):
         L, R, sL, sR, join = join_case
@@ -87,7 +89,7 @@ class TestJoinUpstaged:
             FDEngine(sR), fdset("->x", "->w"), FDEngine(join),
             frozenset(["k", "x", "w"]), loses=True, padded=True,
         )
-        assert FD([], "x") in out.dropped and FD([], "w") in out.dropped
+        assert FD([], "x") not in out.kept and FD([], "w") not in out.kept
 
     def test_semi_reduction_counts(self, spark, join_case, monkeypatch):
         """A losing side is mined iff the join shrinks its set of tuples,
@@ -142,11 +144,12 @@ class TestInferFDs:
         # single-side here (k,x,y all in R), so they are NOT emitted
         assert all(d.attrs() & frozenset(["a", "flag", "v"]) for d in out)
 
-    def test_refine_finds_smaller_lhs(self, spark):
+    @pytest.mark.parametrize("how", ["inner", "left", "right", "full"])
+    def test_refine_finds_smaller_lhs(self, spark, how):
         # raw inference yields (a,b) -> x but a alone works on the join
         L = pd.DataFrame({"k": [0, 1, 2, 3], "a": [0, 1, 2, 3], "b": [0, 0, 1, 1]})
         R = pd.DataFrame({"k": [0, 1, 2, 3], "x": [4, 5, 6, 7]})
-        join = spark.createDataFrame(L).join(spark.createDataFrame(R), on=["k"])
+        join = spark.createDataFrame(L).join(spark.createDataFrame(R), on=["k"], how=how)
         out = infer_join_fds(
             FDEngine(join), frozenset(["k"]), frozenset(L.columns),
             frozenset(R.columns),
@@ -155,6 +158,33 @@ class TestInferFDs:
         )
         assert FD(["a"], "x") in out
         assert FD(["a", "b"], "x") not in out
+
+    @pytest.mark.parametrize("how", ["inner", "left", "right", "full"])
+    def test_sound_with_null_keys(self, spark, how):
+        """NULL join keys on both sides, so every outer join pads: each
+        inferred FD is a minimal FD of the join that no side FD implies.
+        The padded rows keep a -> k and k -> x, so a -> x is inferred on
+        every operator."""
+        g = np.random.default_rng(5)
+        key_of = [None, 0, 1, 2, 3, 4, None, 5]  # a -> k on L
+        L = [(key_of[a], int(a), int(g.integers(0, 3))) for a in g.integers(0, 8, 30)]
+        R = [(k, int(x), int(x) % 2) for k, x in enumerate(g.integers(0, 4, 6))]
+        R.append((None, None, None))
+        sL = spark.createDataFrame(L, "k long, a long, b long")
+        sR = spark.createDataFrame(R, "k long, x long, y long")
+        join = sL.join(sR, on=["k"], how=how)
+        jp = join.toPandas()
+        atts_l, atts_r = frozenset(sL.columns), frozenset(sR.columns)
+        # Each side's complete FD set on the join, as InFine passes it.
+        fds_l, fds_r = brute_force_fds(jp, atts_l), brute_force_fds(jp, atts_r)
+        out = infer_join_fds(
+            FDEngine(join), frozenset(["k"]), atts_l, atts_r, fds_l, fds_r,
+            scope=atts_l | atts_r,
+        )
+        side = by_rhs(fds_l | fds_r)
+        assert out <= brute_force_fds(jp)
+        assert not any(has_subset_fd(side, d.lhs_set(), d.rhs) for d in out)
+        assert FD(["a"], "x") in out
 
 
 class TestMineJoinFDs:
