@@ -7,14 +7,17 @@ first sub-query in which it holds (its provenance triple).
 
 The mining scope is ``proj(V) ∪ join-attributes`` (see DESIGN.md); the
 final result is filtered to ``proj(V)``, which is exact for bag
-semantics. Spark builds each view node's instance (base, σ or join; a
-projection shares its child's), and ``_Run.engine`` gives it one engine
-pruned to the mining scope, so a validity check reads (or the engine
-collects) only attributes that can appear in a view FD. A small
-instance goes through Spark once, as one collect; only an instance that
-stays on Spark is cached, since its count batches scan it repeatedly.
-Both sides of a join are counted on the join's engine (Lemma 2, see
-``join_upstaged``).
+semantics. ``_Run.engine`` gives each view node (base, σ or join; a
+projection shares its child's) one engine pruned to the mining scope,
+so a validity check reads (or the engine collects) only attributes that
+can appear in a view FD. Spark reads the leaves and σ: a small instance
+goes through Spark once, as one collect. A join whose children are both
+held in process is built in the driver on their dictionary codes, with
+no Spark job, unless it would not fit under the engine's cap. Only an
+instance that stays on Spark is cached, since its count batches scan it
+repeatedly. ``_Node.df`` stays the lazy Spark plan, for a σ or join
+above that Spark builds. Both sides of a join are counted on the join's
+engine (Lemma 2, see ``join_upstaged``).
 """
 from __future__ import annotations
 
@@ -31,10 +34,10 @@ from repro.core.join_upstaged import process_side
 from repro.core.mine_join_fds import mine_join_fds
 from repro.core.provenance import Triple
 from repro.core.selection_fds import selection_upstaged
-from repro.fd.engine import FDEngine
+from repro.fd.engine import Encoded, FDEngine
 from repro.fd.lattice import mine_fds
 from repro.fd.model import FD
-from repro.views.spec import _SPARK_HOW, BaseRel, Join, Project, Select, ViewSpec
+from repro.views.spec import _KEEPS, _SPARK_HOW, BaseRel, Join, Project, Select, ViewSpec
 
 
 @dataclass
@@ -42,10 +45,12 @@ class InFineResult:
     """Final provenance triples plus run statistics.
 
     ``spark_jobs`` counts the Spark jobs the run's engines issue: one
-    collect per view node, plus, for an instance that stays on Spark,
-    its count batches and a row count if one is needed. Spark may run
-    one of them as several jobs (adaptive execution runs each shuffle
-    stage of a join as a job of its own), counted here once.
+    collect per leaf and per σ, and per join whose child or output stays
+    on Spark (a join built in process on codes needs none), plus, for
+    an instance that stays on Spark, its count batches and a row count
+    if one is needed. Spark may run one of them as several jobs
+    (adaptive execution runs each shuffle stage of a join as a job of
+    its own), counted here once.
     """
 
     triples: list[Triple]
@@ -91,6 +96,7 @@ class _Node:
 class _Run:
     tables: Mapping[str, DataFrame]
     scope: frozenset[str]
+    keys: frozenset[str]  # every join attribute of the view
     timings: dict[str, float] = field(
         default_factory=lambda: {
             "base": 0.0,
@@ -104,18 +110,25 @@ class _Run:
     engines: list[FDEngine] = field(default_factory=list)
     cached: list[DataFrame] = field(default_factory=list)
 
-    def engine(self, df: DataFrame) -> FDEngine:
-        """An engine over ``df`` pruned to the mining scope, counted in
-        ``spark_jobs``. It collects a small instance now (timed as
-        ``io``); an instance that stays on Spark is cached instead."""
-        cols = [c for c in df.columns if c in self.scope]
-        if len(cols) < len(df.columns):  # a select costs a plan analysis
-            df = df.select(*cols)
-        e = FDEngine(df)
+    def engine(self, inst: DataFrame | Encoded) -> FDEngine:
+        """An engine over ``inst`` pruned to the mining scope, counted in
+        ``spark_jobs``. An in-process instance is wrapped as it is. A
+        Spark one is collected now if small (timed as ``io``), keeping
+        the dictionaries of join attributes only; if it stays on Spark,
+        it is cached instead."""
+        if isinstance(inst, DataFrame):
+            cols = [c for c in inst.columns if c in self.scope]
+            if len(cols) < len(inst.columns):  # a select costs a plan analysis
+                inst = inst.select(*cols)
+        e = FDEngine(inst)
         self.engines.append(e)
-        with self.timed("io"):
-            if not e.in_process():
-                self.cached.append(df.cache())
+        if isinstance(inst, DataFrame):
+            with self.timed("io"):
+                enc = e.encoded()
+                if enc is None:
+                    self.cached.append(inst.cache())
+                else:
+                    enc.keep_dicts(self.keys)
         return e
 
     @contextmanager
@@ -136,8 +149,8 @@ def run_infine(tables: Mapping[str, DataFrame], spec: ViewSpec) -> InFineResult:
     """Discover the minimal FDs of the view with provenance triples."""
     schemas = {name: tuple(df.columns) for name, df in tables.items()}
     proj_attrs = spec.proj(schemas)  # rejects a bad spec before any mining
-    scope = proj_attrs | spec.join_attrs()
-    run = _Run(tables=tables, scope=scope)
+    keys = spec.join_attrs()
+    run = _Run(tables=tables, scope=proj_attrs | keys, keys=keys)
     try:
         node = _prov_fds(run, spec)
         triples = P.minimize_triples(P.restrict_triples(node.triples, proj_attrs))
@@ -194,25 +207,20 @@ def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
     raise TypeError(f"unknown view node {type(spec).__name__}")
 
 
-# Per join operator, whether the (left, right) side keeps every tuple.
-# A side that does not loses tuples (Alg. 3 line 14); a side whose other
-# side keeps every tuple is NULL-padded where that side has no match.
-_KEEPS = {
-    "inner": (False, False),
-    "semi": (False, False),
-    "left": (True, False),
-    "right": (False, True),
-    "full": (True, True),
-}
-
-
 def _join_node(run: _Run, spec: Join) -> _Node:
     left = _prov_fds(run, spec.left)
     right = _prov_fds(run, spec.right)
     K = frozenset(spec.on)
     label = spec.label()
     join_df = left.df.join(right.df, on=list(spec.on), how=_SPARK_HOW[spec.how])
-    join_engine = run.engine(join_df)
+    codes = None  # the join built in process, if both children are
+    lenc, renc = left.engine.encoded(), right.engine.encoded()
+    if lenc is not None and renc is not None:
+        with run.timed("io"):  # a projection's engine may hold more columns
+            codes = lenc.select(run.scope & left.attrs).join(
+                renc.select(run.scope & right.attrs), spec.on, spec.how
+            )
+    join_engine = run.engine(join_df if codes is None else codes)
     keeps = _KEEPS[spec.how]
     # A semijoin outputs only the left attributes: only left upstaged FDs
     # can appear, and there is nothing to infer or mine across sides.

@@ -7,15 +7,18 @@ one of two kernels, picked once per engine from what it can observe:
 - **In process.** When rows × columns is below ``_COLLECT_CELLS`` (and
   no column is nested), the instance is collected once with
   ``toArrow()`` — one Spark job — and each column is dictionary-encoded
-  once. Every distinct count is then a numpy count over packed int64
-  keys (``key·card + codes``, the stripped-partition / PLI idea of TANE
-  and HyFD), with no further Spark job. Without a row count the engine
-  does not count first: it collects at most ``fit + 1`` rows, where
-  ``fit`` is the most rows the cap allows. At most ``fit`` rows is the
-  whole instance, and gives the row count; more means the instance
-  stays on Spark. Spark keeps the relational work (σ, joins, caching);
-  callers pass instances already pruned to the attributes they mine, so
-  the collect reads only those.
+  once into an ``Encoded`` instance. Every distinct count is then a
+  numpy count over packed int64 keys (``key·card + codes``, the
+  stripped-partition / PLI idea of TANE and HyFD), with no further
+  Spark job. Without a row count the engine does not count first: it
+  collects at most ``fit + 1`` rows, where ``fit`` is the most rows the
+  cap allows. At most ``fit`` rows is the whole instance, and gives the
+  row count; more means the instance stays on Spark. Callers pass
+  instances already pruned to the attributes they mine, so the collect
+  reads only those. Two encoded instances are joined in the driver on
+  their codes (``Encoded.join``), with no Spark job: Spark reads only
+  the leaves and σ, and keeps the joins whose inputs or output stay on
+  Spark. ``FDEngine(encoded)`` counts such an instance.
 - **On Spark.** Larger instances, which the driver may not hold, are
   counted by batched ``count_distinct(struct(...))`` aggregations: one
   Spark job validates a whole lattice level and Catalyst's column
@@ -28,6 +31,8 @@ from ``struct`` (never NULL itself, so rows with NULL fields are counted
 from its float normalization; the in-process kernel gets it by encoding
 NULL as a value of its own and by normalizing floats before encoding,
 since Arrow alone tells ``-0.0`` from ``0.0`` and NaN payloads apart.
+A join on codes matches keys with the same equality, except that, as
+in Spark, a NULL key matches nothing.
 
 A pandas frame is counted with ``drop_duplicates``: an independent
 reference for tests and the benchmark's correctness gate. It counts
@@ -37,7 +42,8 @@ NaN, so on such columns it is no reference.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 import pandas as pd
@@ -48,6 +54,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import ArrayType, MapType, StructType
 
 from repro.fd.model import FD
+from repro.views.spec import _KEEPS
 
 # How many count_distinct aggregates to put in a single Spark job. Each
 # distinct aggregate expands the input once (Expand operator), so this
@@ -55,7 +62,7 @@ from repro.fd.model import FD
 _BATCH = 32
 # Spark instances with fewer cells (rows × columns) than this are
 # collected into the driver and counted in process: 2M cells are a few
-# tens of MB of Arrow data and 16 MB of int64 codes.
+# tens of MB of Arrow data and 8 MB of int32 codes.
 _COLLECT_CELLS = 2_000_000
 _INT64_MAX = 2**63 - 1
 _NONE = object()  # stands for None in a pandas object column
@@ -65,45 +72,50 @@ class FDEngine:
     """Memoized distinct counts over one instance.
 
     The instance's type picks the path: a Spark DataFrame is counted by
-    one of the two kernels above, a pandas frame by ``drop_duplicates``.
-    ``n_rows`` is the exact row count if the caller knows it: the kernel
-    is then picked without reading the instance.
+    one of the two kernels above, an ``Encoded`` instance in process, a
+    pandas frame by ``drop_duplicates``. ``n_rows`` is the exact row
+    count if the caller knows it: the kernel is then picked without
+    reading the instance.
     """
 
-    def __init__(self, df: DataFrame | pd.DataFrame, *, n_rows: int | None = None):
+    def __init__(
+        self, df: DataFrame | pd.DataFrame | Encoded, *, n_rows: int | None = None
+    ):
         if isinstance(df, pd.DataFrame):
             df = _none_apart(df)
-        self.df = df
+        # The in-process instance; for a Spark one it is collected, or
+        # found to stay on Spark (None), on first use.
+        self._encoded: Encoded | None = None
+        self._picked = isinstance(df, Encoded)
+        if self._picked:
+            self._encoded, n_rows, df = df, df.n_rows, None
+        self.df = df  # the Spark or pandas instance; None if built in process
         self._cache: dict[frozenset[str], int] = {}
         self._nrows: int | None = n_rows  # pre-known row count skips a job
-        # column -> (dictionary codes, cardinality) once collected, None
-        # on the Spark kernel; the kernel is picked on first use.
-        self._codes: dict[str, tuple[np.ndarray, int]] | None = None
-        self._picked = False
         self.jobs = 0  # number of Spark jobs issued
 
     # -- kernel choice -----------------------------------------------------
     def in_process(self) -> bool:
-        """Whether the Spark instance is counted in process. The first
-        call picks the kernel, collecting the instance if it is small
-        enough."""
-        return self._collected() is not None
+        """Whether the instance is counted in process. The first call on
+        a Spark instance picks the kernel, collecting the instance if it
+        is small enough."""
+        return self.encoded() is not None
 
-    def _collected(self) -> dict[str, tuple[np.ndarray, int]] | None:
-        """The in-process codes, collecting on first use if the instance
-        is small enough; None if it stays on Spark."""
+    def encoded(self) -> Encoded | None:
+        """The in-process instance, collecting a Spark one on first use
+        if it is small enough; None if it stays on Spark."""
         if not self._picked:
             self._picked = True
-            self._codes = self._collect()
-        return self._codes
+            self._encoded = self._collect()
+        return self._encoded
 
-    def _collect(self) -> dict[str, tuple[np.ndarray, int]] | None:
+    def _collect(self) -> Encoded | None:
         fields = self.df.schema.fields
         if not fields or any(
             isinstance(f.dataType, (ArrayType, MapType, StructType)) for f in fields
         ):
             return None
-        fit = (_COLLECT_CELLS - 1) // len(fields)  # most rows under the cap
+        fit = _fit(len(fields))
         if self._nrows is not None and self._nrows > fit:
             return None
         df = self.df if self._nrows is not None else self.df.limit(fit + 1)
@@ -112,16 +124,14 @@ class FDEngine:
         if table.num_rows > fit:
             return None
         self._nrows = table.num_rows
-        return {
-            name: _encode(col) for name, col in zip(table.column_names, table.columns)
-        }
+        return Encoded.from_arrow(table)
 
     # -- row count ---------------------------------------------------------
     def n_rows(self) -> int:
         if self._nrows is None:
             if isinstance(self.df, pd.DataFrame):
                 self._nrows = len(self.df)
-            elif self._collected() is None and self._nrows is None:
+            elif self.encoded() is None and self._nrows is None:
                 self._nrows = self.df.count()
                 self.jobs += 1
         return self._nrows
@@ -143,10 +153,12 @@ class FDEngine:
             for s in todo:
                 self._cache[s] = len(self.df.drop_duplicates(subset=sorted(s)).index)
             return
-        codes = self._collected()
-        if codes is not None:
+        enc = self.encoded()
+        if enc is not None:
             for s in todo:
-                self._cache[s] = _distinct_count([codes[a] for a in sorted(s)])
+                self._cache[s] = _distinct_count(
+                    [(enc.cols[a].codes, enc.cols[a].card) for a in sorted(s)]
+                )
             return
         for i in range(0, len(todo), _BATCH):
             chunk = todo[i : i + _BATCH]
@@ -184,6 +196,11 @@ class FDEngine:
         return {d: self.holds(d.lhs_set(), d.rhs) for d in fds}
 
 
+def _fit(ncols: int) -> int:
+    """The most rows of ``ncols`` columns under the cap."""
+    return (_COLLECT_CELLS - 1) // ncols
+
+
 def _none_apart(pdf: pd.DataFrame) -> pd.DataFrame:
     """``pdf`` with None in an object column replaced by a stand-in.
     ``drop_duplicates`` over several columns takes None and NaN there for
@@ -195,30 +212,185 @@ def _none_apart(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.assign(**{c: pdf[c].map(lambda v: _NONE if v is None else v) for c in obj})
 
 
-def _encode(col: pa.ChunkedArray) -> tuple[np.ndarray, int]:
-    """Dictionary codes of one column (NULL gets a code of its own) and
-    the number of distinct values. Floats are normalized first: adding
-    0.0 turns -0.0 into 0.0, and every NaN becomes the same NaN."""
+@dataclass
+class _Column:
+    """One column as dictionary codes."""
+
+    codes: np.ndarray  # int32, one per row
+    card: int  # every code is below it
+    null: int | None  # the one code of NULL; None if the column has none
+    values: pa.Array | None  # the dictionary (values[code]), join attributes only
+
+    def take(self, idx: np.ndarray, n: int, at: int) -> _Column:
+        """The column over ``n`` rows: ``codes[idx]`` at rows
+        ``at .. at + len(idx)``, NULL (padding) at every other row."""
+        if len(idx) == n:
+            return _Column(self.codes[idx], self.card, self.null, self.values)
+        null, card, values = self.null, self.card, self.values
+        if null is None:  # NULL gets a new code
+            null, card = card, card + 1
+            if values is not None:
+                values = pa.concat_arrays([values, pa.nulls(1, values.type)])
+        codes = np.full(n, null, np.int32)
+        codes[at : at + len(idx)] = self.codes[idx]
+        return _Column(codes, card, null, values)
+
+
+def _encode(col: pa.ChunkedArray) -> _Column:
+    """Dictionary codes of one column; NULL gets a code of its own.
+    Floats are normalized first: adding 0.0 turns -0.0 into 0.0, and
+    every NaN becomes the same NaN."""
     arr = col.combine_chunks()
     if pa.types.is_floating(arr.type):
         arr = pc.add(arr, 0.0)
         arr = pc.if_else(pc.is_nan(arr), float("nan"), arr)
     enc = pc.dictionary_encode(arr, null_encoding="encode")
-    return enc.indices.to_numpy().astype(np.int64), len(enc.dictionary)
+    nulls = np.flatnonzero(enc.dictionary.is_null().to_numpy(zero_copy_only=False))
+    null = int(nulls[0]) if len(nulls) else None
+    return _Column(enc.indices.to_numpy(), len(enc.dictionary), null, enc.dictionary)
 
 
-def _distinct_count(cols: list[tuple[np.ndarray, int]]) -> int:
-    """Distinct rows over the given coded columns. The columns are packed
-    into one int64 key; when the product of cardinalities would overflow,
-    the partial key is first re-encoded to dense codes (at most one code
-    per row)."""
+class Encoded:
+    """An instance held in process: its row count and, per column, its
+    dictionary codes. Dictionaries are needed only to match join keys,
+    so callers keep them for join attributes only (``keep_dicts``)."""
+
+    def __init__(self, n_rows: int, cols: dict[str, _Column]):
+        self.n_rows = n_rows
+        self.cols = cols
+
+    @classmethod
+    def from_arrow(cls, table: pa.Table) -> Encoded:
+        return cls(
+            table.num_rows,
+            {name: _encode(col) for name, col in zip(table.column_names, table.columns)},
+        )
+
+    def select(self, names: Iterable[str]) -> Encoded:
+        return Encoded(self.n_rows, {a: self.cols[a] for a in names})
+
+    def keep_dicts(self, names: frozenset[str]) -> None:
+        """Drop the dictionary of every column not in ``names``."""
+        for name, col in self.cols.items():
+            if name not in names:
+                col.values = None
+
+    def join(self, other: Encoded, on: Sequence[str], how: str) -> Encoded | None:
+        """``self ⋈ other`` on the key columns ``on`` with Spark's
+        ``df.join(other, on=list(on), how=...)`` semantics: one copy of
+        each key (the right one on a right join, the left one else,
+        coalesced on a full join); a NULL key matches nothing; a
+        semijoin keeps each matching row of ``self`` once. Unmatched rows
+        of a side the operator keeps are NULL-padded. None if the result
+        would not fit under ``_COLLECT_CELLS`` or a key's types differ
+        across sides: the join then stays on Spark."""
+        keys = _join_keys(self, other, on)
+        if keys is None:
+            return None
+        lkey, rkey = keys
+        # Left row i matches the cnt[i] right rows order[lo[i] : lo[i] + cnt[i]].
+        order = np.argsort(rkey, kind="stable")
+        rsorted = rkey[order]
+        lo = np.searchsorted(rsorted, lkey, "left")
+        cnt = np.searchsorted(rsorted, lkey, "right") - lo
+        keep_l, keep_r = _KEEPS[how]
+        l_only = np.flatnonzero(cnt == 0) if keep_l else np.empty(0, np.int64)
+        r_only = np.empty(0, np.int64)
+        if keep_r:  # right rows no left row matches: mark the matched runs
+            hit = cnt > 0
+            marks = np.bincount(lo[hit], minlength=len(order) + 1)
+            marks -= np.bincount((lo + cnt)[hit], minlength=len(order) + 1)
+            r_only = order[np.cumsum(marks[:-1]) == 0]
+        n_inner = int(np.count_nonzero(cnt)) if how == "semi" else int(cnt.sum())
+        n = len(l_only) + n_inner + len(r_only)
+        width = len(self.cols) + (0 if how == "semi" else len(other.cols) - len(on))
+        if n > _fit(width):
+            return None
+
+        # Rows are laid out [left only | matched pairs | right only].
+        if how == "semi" or cnt.max(initial=0) <= 1:
+            li = np.flatnonzero(cnt)
+            ri = order[lo[li]]
+        else:
+            li = np.repeat(np.arange(len(cnt)), cnt)
+            pos = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+            pos += np.arange(n_inner)
+            ri = order[pos]
+        li = np.concatenate([l_only, li])
+        cols = {a: self.cols[a].take(li, n, 0) for a in self.cols if a not in on}
+        if how != "semi":
+            ri = np.concatenate([ri, r_only])
+            cols |= {
+                a: col.take(ri, n, len(l_only))
+                for a, col in other.cols.items()
+                if a not in on
+            }
+        for a in on:
+            if how == "right":
+                cols[a] = other.cols[a].take(ri, n, 0)
+            elif how == "full":
+                cols[a] = _coalesce(self.cols[a], li, other.cols[a], r_only)
+            else:
+                cols[a] = self.cols[a].take(li, n, 0)
+        return Encoded(n, cols)
+
+
+def _join_keys(
+    left: Encoded, right: Encoded, on: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """One join key per row of each side, in the left side's code space;
+    -1 for a right row whose key has a NULL or a value no left row
+    holds. None if a key column's types differ across sides."""
+    cols = []
+    unmatched = np.zeros(right.n_rows, bool)
+    for a in on:
+        lcol, rcol = left.cols[a], right.cols[a]
+        if lcol.values.type != rcol.values.type:
+            return None
+        to_left = pc.index_in(rcol.values, value_set=lcol.values, skip_nulls=True)
+        rcodes = pc.fill_null(to_left, -1).to_numpy()[rcol.codes]
+        unmatched |= rcodes < 0
+        cols.append((np.concatenate([lcol.codes, np.maximum(rcodes, 0)]), lcol.card))
+    key = _pack(cols)[0]
+    return key[: left.n_rows], np.where(unmatched, -1, key[left.n_rows :])
+
+
+def _coalesce(
+    lcol: _Column, li: np.ndarray, rcol: _Column, r_only: np.ndarray
+) -> _Column:
+    """A full join's key: the left value on rows ``li``, then the right
+    value on the right-only rows, coded over the left dictionary plus
+    the right values it lacks."""
+    to_left = pc.index_in(rcol.values, value_set=lcol.values, skip_nulls=True)
+    to_left = pc.fill_null(to_left, -1).to_numpy().copy()
+    if rcol.null is not None and lcol.null is not None:
+        to_left[rcol.null] = lcol.null
+    new = np.flatnonzero(to_left < 0)
+    to_left[new] = lcol.card + np.arange(len(new), dtype=np.int32)
+    null = lcol.null if rcol.null is None else int(to_left[rcol.null])
+    codes = np.concatenate([lcol.codes[li], to_left[rcol.codes[r_only]]])
+    values = pa.concat_arrays([lcol.values, rcol.values.take(new)])
+    return _Column(codes, lcol.card + len(new), null, values)
+
+
+def _pack(cols: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
+    """One key per row over the given coded columns, equal iff the rows
+    are, and a bound on the keys. The columns are packed into one int64
+    key; when the product of cardinalities would overflow, the partial
+    key is first re-encoded to dense codes (at most one code per row)."""
     key, card = cols[0]
     for codes, k in cols[1:]:
         if card * k > _INT64_MAX:
             uniq, key = np.unique(key, return_inverse=True)
             card = len(uniq)
-        key = key * k + codes
+        key = key.astype(np.int64, copy=False) * k + codes  # codes are int32
         card *= k
+    return key, card
+
+
+def _distinct_count(cols: list[tuple[np.ndarray, int]]) -> int:
+    """Distinct rows over the given coded columns."""
+    key, card = _pack(cols)
     if card <= 4 * len(key) + 1024:  # dense key range: count in linear time
         return int(np.count_nonzero(np.bincount(key, minlength=1)))
     return len(np.unique(key))

@@ -37,6 +37,16 @@ _SPARK_HOW = {
     "full": "full_outer",
     "semi": "left_semi",
 }
+# Per join operator, whether the (left, right) side keeps every tuple.
+# A side that does not loses tuples (Alg. 3 line 14); a side whose other
+# side keeps every tuple is NULL-padded where that side has no match.
+_KEEPS = {
+    "inner": (False, False),
+    "semi": (False, False),
+    "left": (True, False),
+    "right": (False, True),
+    "full": (True, True),
+}
 _SQL_JOIN = {
     "inner": "INNER JOIN",
     "left": "LEFT OUTER JOIN",
