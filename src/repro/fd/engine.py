@@ -32,7 +32,9 @@ from its float normalization; the in-process kernel gets it by encoding
 NULL as a value of its own and by normalizing floats before encoding,
 since Arrow alone tells ``-0.0`` from ``0.0`` and NaN payloads apart.
 A join on codes matches keys with the same equality, except that, as
-in Spark, a NULL key matches nothing.
+in Spark, a NULL key matches nothing. The HyFD and FastFDs baselines
+read their whole instance as the same codes (``Encoded.of``), so this
+encoding is the only equality an in-process miner uses.
 
 A pandas frame is counted with ``drop_duplicates``: an independent
 reference for tests and the benchmark's correctness gate. It counts
@@ -95,12 +97,6 @@ class FDEngine:
         self.jobs = 0  # number of Spark jobs issued
 
     # -- kernel choice -----------------------------------------------------
-    def in_process(self) -> bool:
-        """Whether the instance is counted in process. The first call on
-        a Spark instance picks the kernel, collecting the instance if it
-        is small enough."""
-        return self.encoded() is not None
-
     def encoded(self) -> Encoded | None:
         """The in-process instance, collecting a Spark one on first use
         if it is small enough; None if it stays on Spark."""
@@ -264,6 +260,26 @@ class Encoded:
         return cls(
             table.num_rows,
             {name: _encode(col) for name, col in zip(table.column_names, table.columns)},
+        )
+
+    @classmethod
+    def of(cls, inst: DataFrame | pd.DataFrame, attrs: Sequence[str]) -> Encoded:
+        """The whole instance over ``attrs``, collected (one Spark job for
+        a Spark instance) and encoded, with no dictionaries. A pandas
+        column is read as it is: None is NULL and NaN is NaN, as the
+        pandas path counts them. A nested column raises."""
+        if isinstance(inst, pd.DataFrame):
+            table = pa.table({a: pa.array(inst[a], from_pandas=False) for a in attrs})
+        else:
+            table = inst.select(*attrs).toArrow()
+        enc = cls.from_arrow(table)
+        enc.keep_dicts(frozenset())
+        return enc
+
+    def rows(self, attrs: Sequence[str]) -> np.ndarray:
+        """The codes of ``attrs`` as a rows × attrs int32 matrix."""
+        return np.column_stack(
+            [self.cols[a].codes for a in attrs] or [np.empty((self.n_rows, 0), np.int32)]
         )
 
     def select(self, names: Iterable[str]) -> Encoded:

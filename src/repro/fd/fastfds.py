@@ -5,13 +5,14 @@ a tuple pair disagrees), then for each rhs attribute find all minimal
 covers of the difference-set family by depth-first search — those covers
 are exactly the minimal lhs's.
 
-Spark's role is the partition encoding: the instance is projected to the
-relevant attributes and collected once, each column factorized to dense
-class ids. Agree sets are then enumerated pair-wise within attribute
-equivalence classes — inherently quadratic, which is why the paper
-measures FastFDs at >2000 s on larger views. ``max_pairs`` bounds the
-work; exceeding it raises :class:`PairBudgetExceeded` so harnesses can
-report a lower bound instead of hanging.
+The instance is projected to the relevant attributes and read once as
+the engine's dictionary codes (``Encoded.of``), so two values agree iff
+the engine counts them as one: NULL equals NULL, NaN equals NaN, and
+NULL differs from NaN. Agree sets are then enumerated pair-wise within
+attribute equivalence classes — inherently quadratic, which is why the
+paper measures FastFDs at >2000 s on larger views. ``max_pairs`` bounds
+the work; exceeding it raises :class:`PairBudgetExceeded` so harnesses
+can report a lower bound instead of hanging.
 """
 from __future__ import annotations
 
@@ -19,22 +20,13 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
+from repro.fd.engine import Encoded
 from repro.fd.lattice import subset_minimal
 from repro.fd.model import FD, minimize
 
 
 class PairBudgetExceeded(RuntimeError):
     """Raised when the agree-set pair enumeration exceeds ``max_pairs``."""
-
-
-def encode(pdf: pd.DataFrame, attrs) -> np.ndarray:
-    """Dense integer encoding, NaN/None mapped to its own class id
-    (null == null semantics, matching the engine)."""
-    cols = []
-    for a in attrs:
-        codes, _ = pd.factorize(pdf[a], use_na_sentinel=False)
-        cols.append(codes)
-    return np.column_stack(cols) if cols else np.empty((len(pdf), 0), dtype=int)
 
 
 def agree_sets(enc: np.ndarray, *, max_pairs: int | None = None) -> set[frozenset[int]]:
@@ -132,14 +124,8 @@ def fastfds(
     max_pairs: int | None = None,
 ) -> set[FD]:
     """All minimal FDs of the instance restricted to ``attrs``."""
-    if isinstance(df, pd.DataFrame):
-        pdf = df
-        attrs = list(attrs) if attrs is not None else list(pdf.columns)
-    else:
-        attrs = list(attrs) if attrs is not None else list(df.columns)
-        pdf = df.select(*attrs).toPandas()
-    enc = encode(pdf, attrs)
-    ag = agree_sets(enc, max_pairs=max_pairs)
+    attrs = list(attrs) if attrs is not None else list(df.columns)
+    ag = agree_sets(Encoded.of(df, attrs).rows(attrs), max_pairs=max_pairs)
     k = len(attrs)
     full = frozenset(range(k))
     diffs = [full - a for a in ag]

@@ -5,8 +5,8 @@ import pandas as pd
 import pytest
 
 from repro.fd.bruteforce import brute_force_fds
-from repro.fd.engine import FDEngine
-from repro.fd.fastfds import PairBudgetExceeded, agree_sets, encode, fastfds
+from repro.fd.engine import Encoded, FDEngine
+from repro.fd.fastfds import PairBudgetExceeded, agree_sets, fastfds
 from repro.fd.fun import fun_on_engine
 from repro.fd.hyfd import hyfd
 from repro.fd.model import FD
@@ -57,7 +57,7 @@ class TestFastFDs:
 
     def test_encode_nulls_one_class(self):
         pdf = pd.DataFrame({"a": [1.0, np.nan, np.nan]})
-        enc = encode(pdf, ["a"])
+        enc = Encoded.of(pdf, ["a"]).rows(["a"])
         assert enc[1, 0] == enc[2, 0] != enc[0, 0]
 
     def test_agree_sets_simple(self):
@@ -120,17 +120,20 @@ class TestHyFD:
     )
     def test_null_differs_from_nan(self, spark, rows, schema, expected):
         """NULL and NaN in one float column are two values to the engine;
-        HyFD must agree, or it never specializes the violated candidate."""
+        HyFD must agree, or it never specializes the violated candidate,
+        and so must FastFDs' agree sets."""
         df = spark.createDataFrame(rows, schema)
         fun = fun_on_engine(FDEngine(df), df.columns)
         assert fun == fdset(*expected)
         assert hyfd(df, max_rounds=20) == fun
+        assert fastfds(df) == fun
 
     def test_null_differs_from_nan_pandas(self):
         pdf = pd.DataFrame({"a": [1, 1, 2], "y": [None, np.nan, 3.0]}, dtype=object)
         fun = fun_on_engine(FDEngine(pdf), pdf.columns)
         assert fun == fdset("y->a")
         assert hyfd(pdf, max_rounds=20) == fun
+        assert fastfds(pdf) == fun
 
 
 class TestCrossAlgorithm:

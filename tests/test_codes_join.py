@@ -122,7 +122,7 @@ class TestStaysOnSpark:
         seen = []
 
         def stage(join_engine, *args, **kwargs):
-            seen.append(join_engine.in_process())
+            seen.append(join_engine.encoded() is not None)
             return mine_join_fds(join_engine, *args, **kwargs)
 
         monkeypatch.setattr(infine_mod, "mine_join_fds", stage)

@@ -4,10 +4,11 @@ each ``...SparkKernel`` class reruns its parent's tests on the Spark
 kernel."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import repro.fd.engine as engine_mod
-from repro.fd.engine import FDEngine
+from repro.fd.engine import Encoded, FDEngine
 from repro.fd.hyfd import _violating_pair
 from repro.fd.model import FD
 from tests.helpers import random_table
@@ -144,7 +145,7 @@ class TestKernelChoice:
         monkeypatch.setattr(engine_mod, "_COLLECT_CELLS", 201)
         big = random_table(4, n=41)
         e = FDEngine(spark.createDataFrame(big.head(rows)))
-        assert e.in_process() is in_process
+        assert (e.encoded() is not None) is in_process
         assert e.jobs == 1  # the bounded collect, even when it overflows
         assert e.n_rows() == rows
         assert e.jobs == (1 if in_process else 2)
@@ -154,7 +155,7 @@ class TestKernelChoice:
         e = FDEngine(spark.createDataFrame(pdf))
         sets = [frozenset("ab"), frozenset("c"), frozenset("ace")]
         e.prefetch(sets)
-        assert not e.in_process()
+        assert e.encoded() is None
         assert e.jobs == 2  # 200 cells: one bounded collect, one count batch
         assert all(e.distinct_count(s) == FDEngine(pdf).distinct_count(s) for s in sets)
         assert e.n_rows() == 40
@@ -163,27 +164,35 @@ class TestKernelChoice:
         df = spark.createDataFrame([([1, 2], 1), ([1, 2], 2), ([3], 1)], "a array<int>, b int")
         e = FDEngine(df, n_rows=3)
         assert e.distinct_count(["a"]) == 2 and e.distinct_count(["a", "b"]) == 3
-        assert not e.in_process()
+        assert e.encoded() is None
+        with pytest.raises(pa.ArrowNotImplementedError):  # no code for a list
+            Encoded.of(df, ["a", "b"])
 
 
 class TestViolatingPair:
-    """HyFD's violation finder, on the same instance types as the engine."""
+    """HyFD's violation finder, on the codes of both instance types."""
+
+    @staticmethod
+    def rows(spark, backend, pdf):
+        df = spark.createDataFrame(pdf) if backend == "spark" else pdf
+        return Encoded.of(df, list(pdf.columns)).rows(list(pdf.columns))
 
     @pytest.mark.parametrize("backend", ["spark", "pandas"])
     def test_pair_found_for_violation(self, spark, backend):
         pdf = pd.DataFrame({"a": [1, 1, 2], "b": [5, 6, 7]})
-        df = spark.createDataFrame(pdf) if backend == "spark" else pdf
-        pair = _violating_pair(df, frozenset(["a"]), "b")
+        rows = self.rows(spark, backend, pdf)
+        pair = _violating_pair(rows, [0], 1)
         assert pair is not None
-        r1, r2 = pair
-        assert r1["a"] == r2["a"] and r1["b"] != r2["b"]
+        r1, r2 = rows[pair[0]], rows[pair[1]]
+        assert r1[0] == r2[0] and r1[1] != r2[1]
+        assert {pdf["b"][p] for p in pair} == {5, 6}
 
     @pytest.mark.parametrize("backend", ["spark", "pandas"])
     def test_none_when_fd_holds(self, spark, backend):
         pdf = pd.DataFrame({"a": [1, 1, 2], "b": [5, 5, 7]})
-        df = spark.createDataFrame(pdf) if backend == "spark" else pdf
-        assert _violating_pair(df, frozenset(["a"]), "b") is None
+        assert _violating_pair(self.rows(spark, backend, pdf), [0], 1) is None
 
     def test_empty_lhs_pair(self):
-        pair = _violating_pair(pd.DataFrame({"a": [1, 2]}), frozenset(), "a")
-        assert pair is not None and pair[0]["a"] != pair[1]["a"]
+        rows = Encoded.of(pd.DataFrame({"a": [1, 2]}), ["a"]).rows(["a"])
+        pair = _violating_pair(rows, [], 0)
+        assert pair is not None and rows[pair[0], 0] != rows[pair[1], 0]

@@ -7,7 +7,7 @@ from repro.datasets.ptc import ptc_tables
 from repro.datasets.pte import pte_tables
 from repro.datasets.queries import queries_for
 from repro.fd.fastfds import PairBudgetExceeded
-from repro.harness import runtime
+from repro.harness import TableCache, runtime
 from repro.harness.runtime import _measured, format_runtime, runtime_rows
 from repro.harness.straightforward import straightforward
 from repro.harness.table1 import format_table1, table1_rows
@@ -36,11 +36,32 @@ class TestTable1:
         assert md.startswith("| DB |") and "drug" in md
 
 
+# The tiny pte view, and the views where HyFD's violation loop does the
+# most work, with the scale each is built at.
+SMALL_VIEWS = {
+    "pte": ("active ⋈ drug", 0.05),
+    "mimic3": ("diagnosesicd ⋈ patients", 0.1),
+    "tpch": ("Q9*(P ⋈ PS ⋈ S ⋈ L ⋈ O ⋈ N)", 0.5),
+}
+
+
 class TestStraightforward:
-    @pytest.mark.parametrize("algo", ["tane", "fun", "hyfd", "fastfds"])
-    def test_all_algos_agree_on_small_view(self, spark, algo):
-        tables = {k: v.cache() for k, v in pte_tables(spark, scale=0.05).items()}
-        q = queries_for("pte")[1]  # active ⋈ drug (tiny)
+    @pytest.fixture(scope="class")
+    def tables_of(self, spark):
+        with TableCache(spark, {d: s for d, (_, s) in SMALL_VIEWS.items()}) as cache:
+            yield cache
+
+    @pytest.mark.parametrize(
+        "dataset, algo",
+        [
+            pytest.param(d, a, id=a if d == "pte" else f"{d}-{a}")
+            for d in SMALL_VIEWS
+            for a in ("tane", "fun", "hyfd", "fastfds")
+        ],
+    )
+    def test_all_algos_agree_on_small_view(self, tables_of, dataset, algo):
+        tables = tables_of(dataset)
+        (q,) = [q for q in queries_for(dataset) if q.name == SMALL_VIEWS[dataset][0]]
         ref = straightforward(tables, q.spec, algo="fun")
         got = straightforward(tables, q.spec, algo=algo)
         assert got.fds == ref.fds

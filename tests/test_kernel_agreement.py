@@ -68,7 +68,7 @@ def duckdb_counts(table, sets):
 def in_process_counts(spark, table, sets):
     e = FDEngine(spark.createDataFrame(table), n_rows=table.num_rows)
     e.prefetch(sets)
-    assert e.in_process() and e.jobs == 1
+    assert e.encoded() is not None and e.jobs == 1
     return [e.distinct_count(s) for s in sets]
 
 

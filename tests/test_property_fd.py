@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.fd.bruteforce import brute_force_fds
 from repro.fd.engine import FDEngine
 from repro.fd.fastfds import fastfds
+from repro.fd.fun import fun_on_engine
+from repro.fd.hyfd import hyfd
 from repro.fd.lattice import mine_fds
 from repro.fd.model import FD, by_rhs, closure, has_subset_fd, minimize
 
@@ -24,6 +26,27 @@ def tables(draw, max_rows=14):
                 st.integers(min_value=0, max_value=card), min_size=n, max_size=n
             )
         )
+    return pd.DataFrame(cols)
+
+
+# Values that one equality must tell apart (None, NaN) or merge (-0.0, 0.0).
+FLOATS = [float("nan"), -0.0, 0.0, 1.0]
+
+
+@st.composite
+def null_tables(draw, max_rows=12):
+    """Tables whose float and object columns mix None, NaN, -0.0 and 0.0
+    (a float64 column holds no None)."""
+    n = draw(st.integers(min_value=1, max_value=max_rows))
+    cols = {}
+    for a in ATTRS:
+        kind = draw(st.sampled_from(["int", "float", "object"]))
+        if kind == "int":
+            vals = st.integers(min_value=0, max_value=2)
+        else:
+            vals = st.sampled_from(FLOATS + ([None] if kind == "object" else []))
+        col = draw(st.lists(vals, min_size=n, max_size=n))
+        cols[a] = pd.Series(col, dtype={"int": "int64", "float": "float64"}.get(kind, object))
     return pd.DataFrame(cols)
 
 
@@ -52,6 +75,17 @@ class TestMinerProperties:
     @given(tables())
     def test_fastfds_equals_bruteforce(self, pdf):
         assert fastfds(pdf) == brute_force_fds(pdf)
+
+    @settings(max_examples=40, deadline=None)
+    @given(null_tables())
+    def test_baselines_equal_engine_on_nulls(self, pdf):
+        """HyFD and FastFDs use the engine's equality: NULL equals NULL,
+        NaN equals NaN, -0.0 equals 0.0, and NULL differs from NaN. The
+        reference is the pandas engine, which counts None apart from NaN
+        (``brute_force_fds`` does not, over several columns)."""
+        fun = fun_on_engine(FDEngine(pdf), ATTRS)
+        assert hyfd(pdf) == fun
+        assert fastfds(pdf) == fun
 
     @settings(max_examples=25, deadline=None)
     @given(tables())

@@ -19,11 +19,6 @@ class TestProvidedGenerators:
         b = S.customer(spark, sf=0.001).toPandas()
         assert a.equals(b)
 
-    def test_zipf_and_uniform(self, spark):
-        z = S.zipf_keys(spark, n=1000, n_keys=50)
-        u = S.uniform_keys(spark, n=1000, n_keys=50)
-        assert z.count() == u.count() == 1000
-
 
 class TestTpchExtensions:
     def test_supplier(self, spark):
