@@ -15,9 +15,10 @@ goes through Spark once, as one collect. A join whose children are both
 held in process is built in the driver on their dictionary codes, with
 no Spark job, unless it would not fit under the engine's cap. Only an
 instance that stays on Spark is cached, since its count batches scan it
-repeatedly. ``_Node.df`` stays the lazy Spark plan, for a σ or join
-above that Spark builds. Both sides of a join are counted on the join's
-engine (Lemma 2, see ``join_upstaged``).
+repeatedly. A σ, and a join that stays on Spark, count the Spark plan
+of their own spec (``spec.instance``), so σ over ⋈ is still one collect.
+Both sides of a join are counted on the join's engine (Lemma 2, see
+``join_upstaged``).
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from repro.core.selection_fds import selection_upstaged
 from repro.fd.engine import Encoded, FDEngine
 from repro.fd.lattice import mine_fds
 from repro.fd.model import FD
-from repro.views.spec import _KEEPS, _SPARK_HOW, BaseRel, Join, Project, Select, ViewSpec
+from repro.views.spec import _KEEPS, BaseRel, Join, Project, Select, ViewSpec
 
 
 @dataclass
@@ -86,7 +87,6 @@ class InFineResult:
 
 @dataclass
 class _Node:
-    df: DataFrame
     engine: FDEngine
     attrs: frozenset[str]
     triples: list[Triple]
@@ -174,22 +174,16 @@ def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
         with run.timed("base"):
             fds = mine_fds(engine, run.scope & attrs)
         triples = [Triple(d, P.BASE, spec.label()) for d in sorted(fds)]
-        return _Node(df, engine, attrs, triples)
+        return _Node(engine, attrs, triples)
 
     if isinstance(spec, Project):
         child = _prov_fds(run, spec.child)
         attrs = frozenset(spec.cols)
-        return _Node(
-            child.df.select(*spec.cols),
-            child.engine,
-            attrs,
-            P.restrict_triples(child.triples, attrs),
-        )
+        return _Node(child.engine, attrs, P.restrict_triples(child.triples, attrs))
 
     if isinstance(spec, Select):
         child = _prov_fds(run, spec.child)
-        df = child.df.filter(spec.predicate)
-        engine = run.engine(df)
+        engine = run.engine(spec.instance(run.tables))
         with run.timed("selection"):
             new = selection_upstaged(
                 engine,
@@ -200,7 +194,7 @@ def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
         triples = child.triples + [
             Triple(d, P.UPSTAGED_SELECTION, spec.label()) for d in sorted(new)
         ]
-        return _Node(df, engine, child.attrs, P.minimize_triples(triples))
+        return _Node(engine, child.attrs, P.minimize_triples(triples))
 
     if isinstance(spec, Join):
         return _join_node(run, spec)
@@ -212,7 +206,6 @@ def _join_node(run: _Run, spec: Join) -> _Node:
     right = _prov_fds(run, spec.right)
     K = frozenset(spec.on)
     label = spec.label()
-    join_df = left.df.join(right.df, on=list(spec.on), how=_SPARK_HOW[spec.how])
     codes = None  # the join built in process, if both children are
     lenc, renc = left.engine.encoded(), right.engine.encoded()
     if lenc is not None and renc is not None:
@@ -220,7 +213,7 @@ def _join_node(run: _Run, spec: Join) -> _Node:
             codes = lenc.select(run.scope & left.attrs).join(
                 renc.select(run.scope & right.attrs), spec.on, spec.how
             )
-    join_engine = run.engine(join_df if codes is None else codes)
+    join_engine = run.engine(spec.instance(run.tables) if codes is None else codes)
     keeps = _KEEPS[spec.how]
     # A semijoin outputs only the left attributes: only left upstaged FDs
     # can appear, and there is nothing to infer or mine across sides.
@@ -241,7 +234,7 @@ def _join_node(run: _Run, spec: Join) -> _Node:
         kept_triples += [Triple(d, tag, label) for d in sorted(out.upstaged)]
         side_full.append(out.kept | out.upstaged)
     if spec.how == "semi":
-        return _Node(join_df, join_engine, left.attrs, P.minimize_triples(kept_triples))
+        return _Node(join_engine, left.attrs, P.minimize_triples(kept_triples))
 
     with run.timed("infer"):
         inferred = infer_join_fds(
@@ -269,4 +262,4 @@ def _join_node(run: _Run, spec: Join) -> _Node:
     mine_triples = [Triple(d, P.JOIN_FD, label) for d in sorted(mined)]
 
     triples = P.minimize_triples(kept_triples + inf_triples + mine_triples)
-    return _Node(join_df, join_engine, left.attrs | right.attrs, triples)
+    return _Node(join_engine, left.attrs | right.attrs, triples)

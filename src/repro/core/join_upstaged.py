@@ -50,13 +50,9 @@ def process_side(
 ) -> SideOutcome:
     """The side's complete FD set on the join. ``cols`` are the side's
     attributes in the mining scope; both engines' instances hold them."""
-    side_fds = set(side_fds)
-    if not loses and not padded:
-        return SideOutcome(kept=side_fds, upstaged=set())
-
-    kept = side_fds
+    kept = set(side_fds)
     if padded:
-        checks = join_engine.check_fds(sorted(side_fds))
+        checks = join_engine.check_fds(sorted(kept))
         kept = {d for d, ok in checks.items() if ok}
 
     upstaged: set[FD] = set()

@@ -29,7 +29,7 @@ NaN, ``-0.0`` equals ``0.0``, and NULL differs from NaN. Spark gets this
 from ``struct`` (never NULL itself, so rows with NULL fields are counted
 — the null-agnostic FD semantics of the paper, Definition 1 remark) and
 from its float normalization; the in-process kernel gets it by encoding
-NULL as a value of its own and by normalizing floats before encoding,
+NULL as code 0 of every column and by normalizing floats before encoding,
 since Arrow alone tells ``-0.0`` from ``0.0`` and NaN payloads apart.
 A join on codes matches keys with the same equality, except that, as
 in Spark, a NULL key matches nothing. The HyFD and FastFDs baselines
@@ -210,40 +210,35 @@ def _none_apart(pdf: pd.DataFrame) -> pd.DataFrame:
 
 @dataclass
 class _Column:
-    """One column as dictionary codes."""
+    """One column as dictionary codes. NULL is code 0 in every column,
+    whether or not the column holds one, so a padded row is code 0 and
+    NULL keys map to each other across dictionaries."""
 
     codes: np.ndarray  # int32, one per row
     card: int  # every code is below it
-    null: int | None  # the one code of NULL; None if the column has none
     values: pa.Array | None  # the dictionary (values[code]), join attributes only
 
     def take(self, idx: np.ndarray, n: int, at: int) -> _Column:
         """The column over ``n`` rows: ``codes[idx]`` at rows
         ``at .. at + len(idx)``, NULL (padding) at every other row."""
         if len(idx) == n:
-            return _Column(self.codes[idx], self.card, self.null, self.values)
-        null, card, values = self.null, self.card, self.values
-        if null is None:  # NULL gets a new code
-            null, card = card, card + 1
-            if values is not None:
-                values = pa.concat_arrays([values, pa.nulls(1, values.type)])
-        codes = np.full(n, null, np.int32)
+            return _Column(self.codes[idx], self.card, self.values)
+        codes = np.zeros(n, np.int32)
         codes[at : at + len(idx)] = self.codes[idx]
-        return _Column(codes, card, null, values)
+        return _Column(codes, self.card, self.values)
 
 
 def _encode(col: pa.ChunkedArray) -> _Column:
-    """Dictionary codes of one column; NULL gets a code of its own.
-    Floats are normalized first: adding 0.0 turns -0.0 into 0.0, and
-    every NaN becomes the same NaN."""
-    arr = col.combine_chunks()
+    """Dictionary codes of one column, NULL first: one NULL is put before
+    the first row, so it is code 0, and its code is dropped again (the
+    codes stay a view of Arrow's indices). Floats are normalized first:
+    adding 0.0 turns -0.0 into 0.0, and every NaN becomes the same NaN."""
+    arr = pa.chunked_array([pa.nulls(1, col.type), *col.chunks]).combine_chunks()
     if pa.types.is_floating(arr.type):
         arr = pc.add(arr, 0.0)
         arr = pc.if_else(pc.is_nan(arr), float("nan"), arr)
     enc = pc.dictionary_encode(arr, null_encoding="encode")
-    nulls = np.flatnonzero(enc.dictionary.is_null().to_numpy(zero_copy_only=False))
-    null = int(nulls[0]) if len(nulls) else None
-    return _Column(enc.indices.to_numpy(), len(enc.dictionary), null, enc.dictionary)
+    return _Column(enc.indices.to_numpy()[1:], len(enc.dictionary), enc.dictionary)
 
 
 class Encoded:
@@ -363,12 +358,17 @@ def _join_keys(
         lcol, rcol = left.cols[a], right.cols[a]
         if lcol.values.type != rcol.values.type:
             return None
-        to_left = pc.index_in(rcol.values, value_set=lcol.values, skip_nulls=True)
-        rcodes = pc.fill_null(to_left, -1).to_numpy()[rcol.codes]
-        unmatched |= rcodes < 0
+        rcodes = _to_left(lcol, rcol)[rcol.codes]
+        unmatched |= rcodes <= 0
         cols.append((np.concatenate([lcol.codes, np.maximum(rcodes, 0)]), lcol.card))
     key = _pack(cols)[0]
     return key[: left.n_rows], np.where(unmatched, -1, key[left.n_rows :])
+
+
+def _to_left(lcol: _Column, rcol: _Column) -> np.ndarray:
+    """Each right code's code in the left dictionary: NULL (0) maps to
+    NULL, and a value the left side lacks to -1."""
+    return pc.fill_null(pc.index_in(rcol.values, value_set=lcol.values), -1).to_numpy()
 
 
 def _coalesce(
@@ -377,16 +377,12 @@ def _coalesce(
     """A full join's key: the left value on rows ``li``, then the right
     value on the right-only rows, coded over the left dictionary plus
     the right values it lacks."""
-    to_left = pc.index_in(rcol.values, value_set=lcol.values, skip_nulls=True)
-    to_left = pc.fill_null(to_left, -1).to_numpy().copy()
-    if rcol.null is not None and lcol.null is not None:
-        to_left[rcol.null] = lcol.null
+    to_left = _to_left(lcol, rcol).copy()
     new = np.flatnonzero(to_left < 0)
     to_left[new] = lcol.card + np.arange(len(new), dtype=np.int32)
-    null = lcol.null if rcol.null is None else int(to_left[rcol.null])
     codes = np.concatenate([lcol.codes[li], to_left[rcol.codes[r_only]]])
     values = pa.concat_arrays([lcol.values, rcol.values.take(new)])
-    return _Column(codes, lcol.card + len(new), null, values)
+    return _Column(codes, lcol.card + len(new), values)
 
 
 def _pack(cols: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:

@@ -11,7 +11,8 @@ the engine counts them as one: NULL equals NULL, NaN equals NaN, and
 NULL differs from NaN. Agree sets are then enumerated pair-wise within
 attribute equivalence classes — inherently quadratic, which is why the
 paper measures FastFDs at >2000 s on larger views. ``max_pairs`` bounds
-the work; exceeding it raises :class:`PairBudgetExceeded` so harnesses
+the work: an instance whose classes hold more pairs raises
+:class:`PairBudgetExceeded` before any pair is compared, so harnesses
 can report a lower bound instead of hanging.
 """
 from __future__ import annotations
@@ -37,33 +38,31 @@ def agree_sets(enc: np.ndarray, *, max_pairs: int | None = None) -> set[frozense
     pair agrees *nowhere*, the empty agree set (= full difference set) is
     included — each such pair is counted exactly once at its first
     agreeing column, so existence is detected by comparing against the
-    total pair count."""
+    total pair count. The classes are known before any pair is compared,
+    so ``max_pairs`` is checked against their total pair count first."""
     n, k = enc.shape
     if n == 0 or k == 0:
         return set()
     enc = np.unique(enc, axis=0)
     n = enc.shape[0]
-    out: set[frozenset[int]] = set()
-    pairs_done = 0
-    agreeing_pairs = 0
+    # Per column, its classes as runs [s, e) of the rows sorted on it.
+    classes = []
     for col in range(k):
         order = np.argsort(enc[:, col], kind="stable")
         vals = enc[order, col]
-        # class boundaries in the sorted order
         starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
-        ends = np.r_[starts[1:], n]
+        classes.append((order, starts, np.r_[starts[1:], n]))
+    sizes = np.concatenate([e - s for _, s, e in classes])
+    if max_pairs is not None and int((sizes * (sizes - 1) // 2).sum()) > max_pairs:
+        raise PairBudgetExceeded(f"agree-set enumeration exceeds {max_pairs} pairs")
+    out: set[frozenset[int]] = set()
+    agreeing_pairs = 0
+    for col, (order, starts, ends) in enumerate(classes):
         for s, e in zip(starts, ends):
             m = e - s
             if m < 2:
                 continue
-            idx = order[s:e]
-            block = enc[idx]
-            n_pairs = m * (m - 1) // 2
-            pairs_done += n_pairs
-            if max_pairs is not None and pairs_done > max_pairs:
-                raise PairBudgetExceeded(
-                    f"agree-set enumeration exceeded {max_pairs} pairs"
-                )
+            block = enc[order[s:e]]
             for i in range(m - 1):
                 eq = block[i + 1 :] == block[i]  # (m-i-1, k) bool
                 # only record pairs whose *smallest* agreeing column is

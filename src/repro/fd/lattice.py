@@ -80,30 +80,14 @@ def mine_fds(
     # partitions as X when a is constant, so drop them from the lhs pool.
     lhs_pool = tuple(a for a in attrs if engine.distinct_count([a]) > 1)
 
-    # Level 1 seeds.
-    frontier: dict[frozenset[str], int] = {}
-    candidates: list[tuple[frozenset[str], str]] = []
-    for a in lhs_pool:
-        x = frozenset([a])
-        dc = engine.distinct_count([a])
-        if dc == n:
-            for y in rhs_pool:
-                if y != a and not pruned(x, y):
-                    record(FD(x, y))
-            continue
-        frontier[x] = dc
-        for y in rhs_pool:
-            if y != a and not pruned(x, y):
-                candidates.append((x, y))
-    _check_level(engine, candidates, record, pruned)
-
+    # Level 1 grows from the empty set, which has one distinct tuple on a
+    # non-empty instance; level 0 has counted every singleton.
+    frontier: dict[frozenset[str], int] = {frozenset(): 1}
     while frontier:
         next_sets: set[frozenset[str]] = set()
         for x in frontier:
-            top = max(x)
-            for a in lhs_pool:
-                if a <= top or a in x:
-                    continue
+            start = lhs_pool.index(max(x)) + 1 if x else 0
+            for a in lhs_pool[start:]:
                 z = x | {a}
                 # apriori: every (level-1)-subset must be a live frontier node
                 if all(z - {b} in frontier for b in z):

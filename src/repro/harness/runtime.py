@@ -6,8 +6,9 @@ does — that cost is identical on both sides because provenance requires
 base FDs either way) vs. view materialization + mining time per baseline.
 
 Memory: ``tracemalloc`` peak of driver-side Python allocations during
-the run, plus the number of view rows each method materializes — the
-portable proxies for the paper's process-peak measurement (DESIGN.md).
+a second run (the time comes from a run without tracing), plus the
+number of view rows each method materializes — the portable proxies for
+the paper's process-peak measurement (DESIGN.md).
 """
 from __future__ import annotations
 
@@ -31,11 +32,16 @@ FASTFDS_MAX_PAIRS = 20_000_000
 
 
 def _measured(fn: Callable) -> tuple[float, float, object]:
+    """``fn``'s wall time, its peak of driver-side Python allocations in
+    MB, and its result. The two figures come from two calls, because
+    tracing slows Python loops several-fold: the time from a call
+    without ``tracemalloc``, the peak from a second call under it."""
+    t0 = time.perf_counter()
+    out = fn()
+    dt = time.perf_counter() - t0
     tracemalloc.start()
     try:
-        t0 = time.perf_counter()
-        out = fn()
-        dt = time.perf_counter() - t0
+        fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()  # also when fn raises, or the next peak inherits it

@@ -84,6 +84,21 @@ class TestFastFDs:
         with pytest.raises(PairBudgetExceeded):
             fastfds(pdf, max_pairs=10)
 
+    def test_pair_budget_is_the_class_pair_total(self):
+        # The budget counts, per column, the pairs of distinct rows that
+        # agree on it; the check is made before any pair is compared.
+        enc = np.random.default_rng(0).integers(0, 3, (30, 4))
+        rows = np.unique(enc, axis=0)
+        total = sum(
+            int(np.sum(rows[i] == rows[j]))
+            for i in range(len(rows))
+            for j in range(i + 1, len(rows))
+        )
+        assert len(rows) < len(enc) and total > 0
+        with pytest.raises(PairBudgetExceeded):
+            agree_sets(enc, max_pairs=total - 1)
+        assert agree_sets(enc, max_pairs=total) == agree_sets(enc)
+
     def test_constant_and_key(self):
         pdf = pd.DataFrame({"k": [1, 2, 3], "c": [9, 9, 9], "x": [4, 4, 5]})
         fds = fastfds(pdf)

@@ -89,21 +89,29 @@ class TestAgainstSpark:
         _assert_same(enc, left.join(right, on=on, how=_SPARK_HOW[how]))
 
     @pytest.mark.parametrize("outer", HOWS)
-    @pytest.mark.parametrize("inner", ["left", "full"])
-    def test_child_built_on_codes(self, spark, inner, outer):
-        # The inner join pads x (left) or coalesces k (full); the outer
-        # join matches on both, so padded and coalesced key codes must
-        # still match like Spark's values, and padded NULLs match nothing.
-        left, right, _ = _sides(spark, "one_int", seed=1)
+    @pytest.mark.parametrize(
+        "inner, case",
+        [
+            pytest.param(inner, case, id=inner if case == "one_int" else f"{inner}-{case}")
+            for inner in ("left", "full")
+            for case in sorted(KEY_CASES)
+        ],
+    )
+    def test_child_built_on_codes(self, spark, inner, outer, case):
+        # The inner join pads x (left) or coalesces the key (full); the
+        # outer join matches on both, so padded and coalesced key codes
+        # must still match like Spark's values, and padded NULLs match
+        # nothing. The third side draws its keys from the right pool.
+        left, right, on = _sides(spark, case, seed=1)
+        schema, _, rpool = KEY_CASES[case]
         third = spark.createDataFrame(
-            _rows(np.random.default_rng(2), 12, [[0, 1, 2, None], [2, 4, 5, None]], 1),
-            "x long, k long, z long",
+            _rows(np.random.default_rng(2), 12, [[0, 1, 2, None], *rpool], 1),
+            f"x long, {schema}, z long",
         )
-        on = ["x", "k"]
-        child = _encoded(left).join(_encoded(right), ["k"], inner)
-        enc = child.join(_encoded(third), on, outer)
-        spark_child = left.join(right, on=["k"], how=_SPARK_HOW[inner])
-        _assert_same(enc, spark_child.join(third, on=on, how=_SPARK_HOW[outer]))
+        child = _encoded(left).join(_encoded(right), on, inner)
+        enc = child.join(_encoded(third), ["x", *on], outer)
+        spark_child = left.join(right, on=on, how=_SPARK_HOW[inner])
+        _assert_same(enc, spark_child.join(third, on=["x", *on], how=_SPARK_HOW[outer]))
 
     def test_semijoin_keeps_each_left_row_once(self, spark):
         left = spark.createDataFrame([(1, 0), (1, 0), (2, 0)], "k long, a long")

@@ -1,4 +1,5 @@
 """Harness smoke tests: table row production and formatting."""
+import time
 import tracemalloc
 
 import pytest
@@ -132,3 +133,20 @@ class TestMeasured:
         assert not tracemalloc.is_tracing()
         _, mem, _ = _measured(lambda: None)
         assert mem < 1.0  # the failed run's peak is not inherited
+
+    def test_time_is_taken_untraced(self):
+        def slow_when_traced():
+            if tracemalloc.is_tracing():
+                time.sleep(0.2)
+
+        dt, _, _ = _measured(slow_when_traced)
+        assert dt < 0.1
+
+    def test_raising_traced_call_stops_tracing(self):
+        def fails_when_traced():
+            if tracemalloc.is_tracing():
+                raise PairBudgetExceeded(0)
+
+        with pytest.raises(PairBudgetExceeded):
+            _measured(fails_when_traced)
+        assert not tracemalloc.is_tracing()

@@ -65,11 +65,13 @@ def duckdb_counts(table, sets):
         con.close()
 
 
-def in_process_counts(spark, table, sets):
+def in_process(spark, table, sets):
+    """The in-process counts of ``sets`` and the encoded instance."""
     e = FDEngine(spark.createDataFrame(table), n_rows=table.num_rows)
     e.prefetch(sets)
-    assert e.encoded() is not None and e.jobs == 1
-    return [e.distinct_count(s) for s in sets]
+    enc = e.encoded()
+    assert enc is not None and e.jobs == 1
+    return [e.distinct_count(s) for s in sets], enc
 
 
 class TestKernelAgreement:
@@ -77,15 +79,18 @@ class TestKernelAgreement:
     @given(instances())
     def test_in_process_equals_spark_and_duckdb(self, spark, inst):
         table, sets = inst
-        got = in_process_counts(spark, table, sets)
+        got, enc = in_process(spark, table, sets)
         assert got == spark_counts(spark, table, sets)
         assert got == duckdb_counts(table, sets)
+        for name, col in zip(table.column_names, table.columns):  # NULL is code 0
+            is_null = col.is_null().to_numpy(zero_copy_only=False)
+            assert np.array_equal(enc.cols[name].codes == 0, is_null), name
 
     def test_float_and_null_semantics(self, spark):
         # NULL = NULL, NaN = NaN (any payload), -0.0 = 0.0, NULL ≠ NaN.
         table = pa.table({"f": pa.array([None, None, float("nan"), _NAN2, -0.0, 0.0])})
         sets = [frozenset("f")]
-        assert in_process_counts(spark, table, sets) == [3]
+        assert in_process(spark, table, sets)[0] == [3]
         assert spark_counts(spark, table, sets) == [3]
 
     def test_wide_set_agrees(self, spark):
@@ -96,7 +101,7 @@ class TestKernelAgreement:
         table = pa.concat_tables([table, table.slice(0, 10)])  # 10 duplicate rows
         sets = [frozenset(table.column_names)]
         assert 60**12 > 2**63
-        assert in_process_counts(spark, table, sets) == [60]
+        assert in_process(spark, table, sets)[0] == [60]
         assert spark_counts(spark, table, sets) == [60]
 
     def test_reencode_before_overflow(self):
