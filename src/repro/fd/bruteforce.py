@@ -9,34 +9,26 @@ from itertools import combinations
 
 import pandas as pd
 
-from repro.fd.model import FD, by_rhs, has_subset_fd
-
-
-def _dc(pdf: pd.DataFrame, cols: frozenset[str]) -> int:
-    if not cols:
-        return 1 if len(pdf) else 0
-    return len(pdf.drop_duplicates(subset=sorted(cols)).index)
+from repro.fd.engine import FDEngine
+from repro.fd.model import FD, has_subset_fd
 
 
 def brute_force_fds(pdf: pd.DataFrame, attrs=None) -> set[FD]:
     """All minimal FDs of ``pdf`` restricted to ``attrs`` (default: all
-    columns). NULL/NaN compares equal to itself, matching the engine."""
+    columns). Each candidate is checked on the pandas reference engine, so
+    NULL equals NULL, NaN equals NaN, and NULL differs from NaN."""
     attrs = sorted(attrs) if attrs is not None else sorted(pdf.columns)
+    engine = FDEngine(pdf)
     found: set[FD] = set()
     idx: dict[str, list[frozenset[str]]] = {}
-    n = len(pdf)
+    # Levels go up in size, so a found FD has no valid proper sub-FD.
     for k in range(0, len(attrs)):
         for lhs_t in combinations(attrs, k):
             lhs = frozenset(lhs_t)
-            dcl = _dc(pdf, lhs)
             for rhs in attrs:
                 if rhs in lhs or has_subset_fd(idx, lhs, rhs):
                     continue
-                if (dcl if n else 0) == _dc(pdf, lhs | {rhs}):
-                    d = FD(lhs, rhs)
-                    found.add(d)
+                if engine.holds(lhs, rhs):
+                    found.add(FD(lhs, rhs))
                     idx.setdefault(rhs, []).append(lhs)
-    # idx grows within a level in combination order; re-minimize to be safe.
-    from repro.fd.model import minimize
-
-    return minimize(found)
+    return found

@@ -1,43 +1,38 @@
 """Table I — base-table characteristics: (Att#, Tuple#, FD#) per table."""
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.datasets import all_datasets
 from repro.fd.engine import FDEngine
-from repro.fd.fun import fun_on_engine
-from repro.harness import resolve_scale
+from repro.fd.lattice import mine_fds
+from repro.harness import TableCache
 
 
 def table1_rows(
     spark: SparkSession,
     *,
     scale: "float | dict" = 1.0,
-    datasets: Mapping | None = None,
+    datasets: Iterable[str] = all_datasets,
 ) -> list[dict]:
-    """One row per base table across all datasets."""
+    """One row per base table of each dataset."""
     rows = []
-    builders = datasets or all_datasets
-    for ds_name, build in builders.items():
-        tables: Mapping[str, DataFrame] = build(
-            spark, scale=resolve_scale(scale, ds_name)
-        )
-        for tname, df in tables.items():
-            df = df.cache()
-            n = df.count()
-            fds = fun_on_engine(FDEngine(df, n_rows=n), df.columns)
-            rows.append(
-                {
-                    "db": ds_name,
-                    "table": tname,
-                    "atts": len(df.columns),
-                    "tuples": n,
-                    "fds": len(fds),
-                }
-            )
-            df.unpersist()
+    with TableCache(spark, scale) as tables_of:
+        for ds_name in datasets:
+            for tname, df in tables_of(ds_name).items():
+                n = df.count()
+                fds = mine_fds(FDEngine(df, n_rows=n), df.columns)
+                rows.append(
+                    {
+                        "db": ds_name,
+                        "table": tname,
+                        "atts": len(df.columns),
+                        "tuples": n,
+                        "fds": len(fds),
+                    }
+                )
     return rows
 
 

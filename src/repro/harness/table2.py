@@ -8,12 +8,13 @@ from repro.harness import TableCache
 from repro.harness.straightforward import straightforward
 
 
-def table2_rows(spark: SparkSession, *, scale: "float | dict" = 1.0, algo: str = "fun") -> list[dict]:
+def table2_rows(spark: SparkSession, *, scale: "float | dict" = 1.0) -> list[dict]:
+    """One row per view: its size and its FDs mined by FUN."""
     rows = []
     with TableCache(spark, scale) as tables_of:
         for q in all_queries():
             tables = tables_of(q.dataset)
-            res = straightforward(tables, q.spec, algo=algo)
+            res = straightforward(tables, q.spec)
             rows.append(
                 {
                     "db": q.dataset,

@@ -7,10 +7,9 @@ import pytest
 from repro.fd.bruteforce import brute_force_fds
 from repro.fd.engine import Encoded, FDEngine
 from repro.fd.fastfds import PairBudgetExceeded, agree_sets, fastfds
-from repro.fd.fun import fun_on_engine
 from repro.fd.hyfd import hyfd
+from repro.fd.lattice import mine_fds
 from repro.fd.model import FD
-from repro.fd.tane import tane_on_engine
 from tests.helpers import fdset, random_table
 
 SEEDS = range(8)
@@ -20,33 +19,35 @@ class TestTane:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_bruteforce(self, seed):
         pdf = random_table(seed, n=24, with_nulls=(seed % 2 == 0))
-        assert tane_on_engine(FDEngine(pdf), pdf.columns) == brute_force_fds(pdf)
+        got = mine_fds(FDEngine(pdf), pdf.columns, free_set_pruning=False)
+        assert got == brute_force_fds(pdf)
 
     def test_spark_entrypoint(self, spark):
         pdf = random_table(0, n=15)
         e = FDEngine(spark.createDataFrame(pdf))
-        assert tane_on_engine(e, pdf.columns) == brute_force_fds(pdf)
+        assert mine_fds(e, pdf.columns, free_set_pruning=False) == brute_force_fds(pdf)
 
 
 class TestFun:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_bruteforce(self, seed):
         pdf = random_table(seed + 30, n=24, with_nulls=(seed % 2 == 1))
-        assert fun_on_engine(FDEngine(pdf), pdf.columns) == brute_force_fds(pdf)
+        got = mine_fds(FDEngine(pdf), pdf.columns, free_set_pruning=True)
+        assert got == brute_force_fds(pdf)
 
     def test_free_set_pruning_uses_fewer_checks(self):
         # non-free sets abound when columns are correlated
         pdf = random_table(5, n=40)
         e_fun, e_tane = FDEngine(pdf), FDEngine(pdf)
-        fun_fds = fun_on_engine(e_fun, pdf.columns)
-        tane_fds = tane_on_engine(e_tane, pdf.columns)
+        fun_fds = mine_fds(e_fun, pdf.columns, free_set_pruning=True)
+        tane_fds = mine_fds(e_tane, pdf.columns, free_set_pruning=False)
         assert fun_fds == tane_fds
         assert len(e_fun._cache) <= len(e_tane._cache)
 
     def test_spark_entrypoint(self, spark):
         pdf = random_table(1, n=15)
         e = FDEngine(spark.createDataFrame(pdf))
-        assert fun_on_engine(e, pdf.columns) == brute_force_fds(pdf)
+        assert mine_fds(e, pdf.columns, free_set_pruning=True) == brute_force_fds(pdf)
 
 
 class TestFastFDs:
@@ -138,14 +139,14 @@ class TestHyFD:
         HyFD must agree, or it never specializes the violated candidate,
         and so must FastFDs' agree sets."""
         df = spark.createDataFrame(rows, schema)
-        fun = fun_on_engine(FDEngine(df), df.columns)
+        fun = mine_fds(FDEngine(df), df.columns, free_set_pruning=True)
         assert fun == fdset(*expected)
         assert hyfd(df, max_rounds=20) == fun
         assert fastfds(df) == fun
 
     def test_null_differs_from_nan_pandas(self):
         pdf = pd.DataFrame({"a": [1, 1, 2], "y": [None, np.nan, 3.0]}, dtype=object)
-        fun = fun_on_engine(FDEngine(pdf), pdf.columns)
+        fun = mine_fds(FDEngine(pdf), pdf.columns, free_set_pruning=True)
         assert fun == fdset("y->a")
         assert hyfd(pdf, max_rounds=20) == fun
         assert fastfds(pdf) == fun
@@ -156,8 +157,8 @@ class TestCrossAlgorithm:
     def test_all_four_agree(self, seed):
         pdf = random_table(seed + 200, n=30, cards=(2, 2, 3, 5))
         results = {
-            "tane": tane_on_engine(FDEngine(pdf), pdf.columns),
-            "fun": fun_on_engine(FDEngine(pdf), pdf.columns),
+            "tane": mine_fds(FDEngine(pdf), pdf.columns, free_set_pruning=False),
+            "fun": mine_fds(FDEngine(pdf), pdf.columns, free_set_pruning=True),
             "fastfds": fastfds(pdf),
             "hyfd": hyfd(pdf),
         }

@@ -1,11 +1,17 @@
-"""Light infrastructure tests: the stdlib build backend and scale
-resolution used by harnesses/benchmarks."""
+"""Light infrastructure tests: the stdlib build backend, scale
+resolution used by the harnesses, and the table entrypoint's arguments."""
+import importlib.util
+import subprocess
+import sys
 import zipfile
+from pathlib import Path
 
 import pytest
 
 import _build_backend as bb
 from repro.harness import BENCH_SCALE, resolve_scale
+
+REPRODUCE = Path(__file__).resolve().parents[1] / "jobs" / "reproduce.py"
 
 
 class TestBuildBackend:
@@ -46,3 +52,18 @@ class TestScales:
         from repro.datasets import all_datasets
 
         assert set(BENCH_SCALE) == set(all_datasets)
+
+    def test_entrypoint_bench_is_bench_scale(self):
+        spec = importlib.util.spec_from_file_location("reproduce", REPRODUCE)
+        reproduce = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(reproduce)
+        assert reproduce.resolve("bench") is BENCH_SCALE
+        assert reproduce.resolve("0.1") == 0.1
+
+    def test_entrypoint_unknown_table_prints_usage(self):
+        out = subprocess.run(
+            [sys.executable, str(REPRODUCE), "nope"], capture_output=True, text=True
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("usage: python jobs/reproduce.py")
+        assert "table1" in out.stderr and "runtime" in out.stderr

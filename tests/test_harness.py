@@ -4,7 +4,6 @@ import tracemalloc
 
 import pytest
 
-from repro.datasets.ptc import ptc_tables
 from repro.datasets.pte import pte_tables
 from repro.datasets.queries import queries_for
 from repro.fd.fastfds import PairBudgetExceeded
@@ -18,15 +17,16 @@ from repro.harness.table3 import format_table3, table3_rows
 class TestTable1:
     @pytest.fixture(scope="class")
     def rows(self, spark):
-        return table1_rows(
-            spark, scale=0.05, datasets={"pte": pte_tables, "ptc": ptc_tables}
-        )
+        return table1_rows(spark, scale=0.05, datasets=("pte", "ptc"))
 
     def test_all_tables_covered(self, rows):
         assert {(r["db"], r["table"]) for r in rows} == {
             ("pte", "drug"), ("pte", "active"), ("pte", "atm"), ("pte", "bond"),
             ("ptc", "molecule"), ("ptc", "atom"), ("ptc", "bond"), ("ptc", "connected"),
         }
+
+    def test_fds_found(self, rows):
+        assert sum(r["fds"] for r in rows) > 0
 
     def test_drug_zero_fds(self, rows):
         drug = next(r for r in rows if r["table"] == "drug" and r["db"] == "pte")
@@ -67,7 +67,6 @@ class TestStraightforward:
         got = straightforward(tables, q.spec, algo=algo)
         assert got.fds == ref.fds
         assert got.n_rows == ref.n_rows
-        assert got.t_total >= got.t_mine
 
     def test_unknown_algo(self, spark):
         tables = pte_tables(spark, scale=0.05)

@@ -1,4 +1,5 @@
 """Oracle + brute-force reference sanity tests."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -58,3 +59,13 @@ class TestBruteForce:
         pdf = pd.DataFrame({"a": [float("nan"), float("nan")], "b": [1, 1]})
         out = brute_force_fds(pdf)
         assert FD([], "a") in out and FD([], "b") in out
+
+    def test_null_differs_from_nan_over_any_columns(self):
+        """None and NaN in one object column are two values whether a set
+        has one column or several: ``drop_duplicates`` alone merges them
+        over several, which made ``a,b -> c`` hold while ``a -> c`` did
+        not, and made ``c -> a`` hold."""
+        pdf = pd.DataFrame(
+            {"a": pd.Series(["x", None, np.nan], dtype=object), "b": [0, 0, 0], "c": [1, 0, 0]}
+        )
+        assert brute_force_fds(pdf) == fdset("->b", "a->c")

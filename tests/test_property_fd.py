@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.fd.bruteforce import brute_force_fds
 from repro.fd.engine import FDEngine
 from repro.fd.fastfds import fastfds
-from repro.fd.fun import fun_on_engine
 from repro.fd.hyfd import hyfd
 from repro.fd.lattice import mine_fds
 from repro.fd.model import FD, by_rhs, closure, has_subset_fd, minimize
@@ -81,9 +80,9 @@ class TestMinerProperties:
     def test_baselines_equal_engine_on_nulls(self, pdf):
         """HyFD and FastFDs use the engine's equality: NULL equals NULL,
         NaN equals NaN, -0.0 equals 0.0, and NULL differs from NaN. The
-        reference is the pandas engine, which counts None apart from NaN
-        (``brute_force_fds`` does not, over several columns)."""
-        fun = fun_on_engine(FDEngine(pdf), ATTRS)
+        reference is FUN on the pandas engine, which counts None apart
+        from NaN."""
+        fun = mine_fds(FDEngine(pdf), ATTRS, free_set_pruning=True)
         assert hyfd(pdf) == fun
         assert fastfds(pdf) == fun
 

@@ -29,6 +29,7 @@ class TestInFineEqualsStraightforward:
         tables = tables_of(q.dataset)
         res = run_infine(tables, q.spec)
         ref = straightforward(tables, q.spec, algo="fun")
+        assert res.fds, "every evaluation view has an FD"
         assert res.fds == ref.fds, (
             sorted(map(str, ref.fds - res.fds)),
             sorted(map(str, res.fds - ref.fds)),
