@@ -4,8 +4,11 @@ through the join attributes, then minimality refinement on a partial join.
 Theorem 2: if ``A → K`` holds on one side and ``K → b`` on the other,
 then ``A → b`` holds on the (inner) join. The ``infer`` subroutine
 enumerates those; ``refine`` then searches the lhs subsets on the
-*partial* join — Catalyst only scans the columns involved, which is the
-paper's "horizontal partition with only the necessary attributes".
+*partial* join — each distinct count reads only the columns of its
+candidate set, which is the paper's "horizontal partition with only the
+necessary attributes". ``atts_left`` and ``atts_right`` are the sides'
+attributes in the mining scope, as the driver's nodes hold them, so
+every raw FD is in scope.
 
 ``refine`` is the shared lattice miner over the union of the raw lhs's,
 with each candidate ``C → b`` kept plausible only while ``C`` lies
@@ -29,14 +32,12 @@ def infer_join_fds(
     atts_right: frozenset[str],
     fds_left: Iterable[FD],
     fds_right: Iterable[FD],
-    *,
-    scope: frozenset[str],
 ) -> set[FD]:
     """Both directions of Algorithm 4 (lines 3-4) plus ``refine``."""
     fds_left, fds_right = set(fds_left), set(fds_right)
     idx_l, idx_r = by_rhs(fds_left), by_rhs(fds_right)
-    raw = _infer_one_direction(K, atts_left, atts_right, fds_left, idx_l, idx_r, scope)
-    raw |= _infer_one_direction(K, atts_right, atts_left, fds_right, idx_r, idx_l, scope)
+    raw = _infer_one_direction(K, atts_left, atts_right, fds_left, idx_l, idx_r)
+    raw |= _infer_one_direction(K, atts_right, atts_left, fds_right, idx_r, idx_l)
     if not raw:
         return set()
     # Subroutine ``refine``: the minimal valid lhs subsets of every raw FD.
@@ -50,13 +51,11 @@ def infer_join_fds(
     )
 
 
-def _infer_one_direction(K, atts_src, atts_dst, fds_src, idx_src, idx_dst, scope):
+def _infer_one_direction(K, atts_src, atts_dst, fds_src, idx_src, idx_dst):
     """lhs candidates from the source side that determine K; rhs from the
     destination side determined by K (subroutine ``infer``)."""
     rhs_pool = sorted(
-        b
-        for b in (atts_dst - K - atts_src) & scope
-        if has_subset_fd(idx_dst, K, b)
+        b for b in atts_dst - K - atts_src if has_subset_fd(idx_dst, K, b)
     )
     if not rhs_pool:
         return set()

@@ -7,18 +7,20 @@ first sub-query in which it holds (its provenance triple).
 
 The mining scope is ``proj(V) ∪ join-attributes`` (see DESIGN.md); the
 final result is filtered to ``proj(V)``, which is exact for bag
-semantics. ``_Run.engine`` gives each view node (base, σ or join; a
-projection shares its child's) one engine pruned to the mining scope,
-so a validity check reads (or the engine collects) only attributes that
-can appear in a view FD. Spark reads the leaves and σ: a small instance
-goes through Spark once, as one collect. A join whose children are both
-held in process is built in the driver on their dictionary codes, with
-no Spark job, unless it would not fit under the engine's cap. Only an
-instance that stays on Spark is cached, since its count batches scan it
-repeatedly. A σ, and a join that stays on Spark, count the Spark plan
-of their own spec (``spec.instance``), so σ over ⋈ is still one collect.
-Both sides of a join are counted on the join's engine (Lemma 2, see
-``join_upstaged``).
+semantics. A node's ``attrs`` are its attributes in the mining scope:
+the scope is applied where a leaf or a projection is made, and every
+stage mines its node's attributes as they are. ``_Run.engine`` gives
+each view node (base, σ or join; a projection shares its child's) one
+engine pruned to the mining scope, so a validity check reads (or the
+engine collects) only attributes that can appear in a view FD. Spark
+reads the leaves and σ: a small instance goes through Spark once, as
+one collect. A join whose children are both held in process is built in
+the driver on their dictionary codes, with no Spark job, unless it would
+not fit under the engine's cap. Only an instance that stays on Spark is
+cached, since its count batches scan it repeatedly. A σ, and a join that
+stays on Spark, count the Spark plan of their own spec
+(``spec.instance``), so σ over ⋈ is still one collect. Both sides of a
+join are counted on the join's engine (Lemma 2, see ``join_upstaged``).
 """
 from __future__ import annotations
 
@@ -88,7 +90,7 @@ class InFineResult:
 @dataclass
 class _Node:
     engine: FDEngine
-    attrs: frozenset[str]
+    attrs: frozenset[str]  # the node's attributes in the mining scope
     triples: list[Triple]
 
 
@@ -170,15 +172,15 @@ def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
     if isinstance(spec, BaseRel):
         df = spec.instance(run.tables)
         engine = run.engine(df)
-        attrs = frozenset(df.columns)
+        attrs = frozenset(df.columns) & run.scope
         with run.timed("base"):
-            fds = mine_fds(engine, run.scope & attrs)
+            fds = mine_fds(engine, attrs)
         triples = [Triple(d, P.BASE, spec.label()) for d in sorted(fds)]
         return _Node(engine, attrs, triples)
 
     if isinstance(spec, Project):
         child = _prov_fds(run, spec.child)
-        attrs = frozenset(spec.cols)
+        attrs = frozenset(spec.cols) & run.scope
         return _Node(child.engine, attrs, P.restrict_triples(child.triples, attrs))
 
     if isinstance(spec, Select):
@@ -188,7 +190,7 @@ def _prov_fds(run: _Run, spec: ViewSpec) -> _Node:
             new = selection_upstaged(
                 engine,
                 child.engine.n_rows(),
-                run.scope & child.attrs,
+                child.attrs,
                 [t.fd for t in child.triples],
             )
         triples = child.triples + [
@@ -210,8 +212,8 @@ def _join_node(run: _Run, spec: Join) -> _Node:
     lenc, renc = left.engine.encoded(), right.engine.encoded()
     if lenc is not None and renc is not None:
         with run.timed("io"):  # a projection's engine may hold more columns
-            codes = lenc.select(run.scope & left.attrs).join(
-                renc.select(run.scope & right.attrs), spec.on, spec.how
+            codes = lenc.select(left.attrs).join(
+                renc.select(right.attrs), spec.on, spec.how
             )
     join_engine = run.engine(spec.instance(run.tables) if codes is None else codes)
     keeps = _KEEPS[spec.how]
@@ -226,8 +228,7 @@ def _join_node(run: _Run, spec: Join) -> _Node:
     for i, (node, tag) in enumerate(sides):
         with run.timed("upstage_join"):
             out = process_side(
-                node.engine, [t.fd for t in node.triples], join_engine,
-                run.scope & node.attrs,
+                node.engine, [t.fd for t in node.triples], join_engine, node.attrs,
                 loses=not keeps[i], padded=keeps[1 - i],
             )
         kept_triples += [t for t in node.triples if t.fd in out.kept]
@@ -237,26 +238,12 @@ def _join_node(run: _Run, spec: Join) -> _Node:
         return _Node(join_engine, left.attrs, P.minimize_triples(kept_triples))
 
     with run.timed("infer"):
-        inferred = infer_join_fds(
-            join_engine,
-            K,
-            left.attrs,
-            right.attrs,
-            side_full[0],
-            side_full[1],
-            scope=run.scope,
-        )
+        inferred = infer_join_fds(join_engine, K, left.attrs, right.attrs, *side_full)
     inf_triples = [Triple(d, P.INFERRED, label) for d in sorted(inferred)]
 
     with run.timed("mine_join"):
         mined = mine_join_fds(
-            join_engine,
-            run.scope & (left.attrs | right.attrs),
-            K,
-            left.attrs,
-            right.attrs,
-            side_full[0],
-            side_full[1],
+            join_engine, K, left.attrs, right.attrs, *side_full,
             side_full[0] | side_full[1] | inferred,
         )
     mine_triples = [Triple(d, P.JOIN_FD, label) for d in sorted(mined)]

@@ -6,11 +6,15 @@ instance; Lemma 3 is the special case where ``C`` lies entirely on the
 other side. Both become one sound ``plausible`` pruning rule plugged
 into the generic lattice miner, which then validates the surviving
 candidates with distinct-count checks over the (column-pruned, partial)
-join DataFrame — never the fully materialized wide view.
+join instance — never the fully materialized wide view.
 
-If no attribute passes the plausible-rhs test with the *maximal*
-possible lhs, the search is skipped entirely — the paper's
-"mineFDs executed but returns no FD" cases cost nothing here.
+``plausible`` is monotone in the lhs, so an rhs it vetoes with the
+*maximal* lhs (every other attribute of the join) is vetoed with every
+lhs. If it vetoes every rhs, the search is skipped with no distinct
+count — the paper's "mineFDs executed but returns no FD" cases cost
+nothing here. This happens when one side brings only ``K`` into the
+mining scope (every candidate then lies on one side), or when no side
+FD backs any rhs.
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ from repro.fd.model import FD, by_rhs, has_subset_fd
 
 def mine_join_fds(
     join_engine: FDEngine,
-    scope_attrs: frozenset[str],
     K: frozenset[str],
     atts_left: frozenset[str],
     atts_right: frozenset[str],
@@ -31,42 +34,25 @@ def mine_join_fds(
     fds_right: Iterable[FD],
     known: Iterable[FD],
 ) -> set[FD]:
-    """All minimal view FDs not already in ``known`` (which must contain
-    both sides' complete single-side FD sets and the inferred FDs)."""
+    """All minimal view FDs over ``atts_left | atts_right`` not already in
+    ``known`` (which must contain both sides' complete single-side FD
+    sets and the inferred FDs)."""
     idx_l, idx_r = by_rhs(fds_left), by_rhs(fds_right)
-    excl_l = (atts_left - K) & scope_attrs
-    excl_r = (atts_right - K) & scope_attrs
-    side_l = atts_left & scope_attrs
-    side_r = atts_right & scope_attrs
-
-    def rhs_feasible(y: str) -> bool:
-        r"""Theorem 4 with the maximal admissible lhs: if even
-        ``K ∪ (atts(side)\{y}) -> y`` is not backed by a side FD, ``y``
-        can never be the rhs of a join FD."""
-        if y in K:
-            return True
-        if y in excl_r:
-            return has_subset_fd(idx_r, (K | excl_r) - {y}, y)
-        return has_subset_fd(idx_l, (K | excl_l) - {y}, y)
-
-    rhs_pool = frozenset(y for y in scope_attrs if rhs_feasible(y))
-    if not rhs_pool:
-        return set()
+    attrs = atts_left | atts_right
 
     def plausible(lhs: frozenset[str], y: str) -> bool:
         s = lhs | {y}
-        if s <= side_l or s <= side_r:
+        if s <= atts_left or s <= atts_right:
             return False  # single-side FDs are complete in `known`
-        if y in excl_r:
-            return has_subset_fd(idx_r, K | (lhs & side_r), y)
-        if y in excl_l:
-            return has_subset_fd(idx_l, K | (lhs & side_l), y)
+        if y in atts_right - K:
+            return has_subset_fd(idx_r, K | (lhs & atts_right), y)
+        if y in atts_left - K:
+            return has_subset_fd(idx_l, K | (lhs & atts_left), y)
         return True  # y ∈ K with a mixed lhs: no Theorem-4 pruning applies
 
+    rhs_pool = frozenset(y for y in attrs if plausible(attrs - {y}, y))
+    if not rhs_pool:
+        return set()
     return mine_fds(
-        join_engine,
-        scope_attrs,
-        known=known,
-        rhs_pool=rhs_pool,
-        plausible=plausible,
+        join_engine, attrs, known=known, rhs_pool=rhs_pool, plausible=plausible
     )

@@ -17,10 +17,10 @@ from repro.fd.model import FD
 def selection_upstaged(
     sel_engine: FDEngine,
     child_n: int,
-    scope_attrs: frozenset[str],
+    attrs: frozenset[str],
     known: Iterable[FD],
 ) -> set[FD]:
     """New FDs valid on the filtered instance; empty if nothing filtered."""
     if sel_engine.n_rows() >= child_n:
         return set()
-    return mine_fds(sel_engine, scope_attrs, known=set(known))
+    return mine_fds(sel_engine, attrs, known=set(known))

@@ -127,7 +127,7 @@ class FDEngine:
         if self._nrows is None:
             if isinstance(self.df, pd.DataFrame):
                 self._nrows = len(self.df)
-            elif self.encoded() is None and self._nrows is None:
+            elif self.encoded() is None:
                 self._nrows = self.df.count()
                 self.jobs += 1
         return self._nrows

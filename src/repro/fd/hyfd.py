@@ -27,6 +27,9 @@ from pyspark.sql import DataFrame
 from repro.fd.engine import Encoded, FDEngine
 from repro.fd.model import FD, minimize
 
+SAMPLE_SIZE = 500  # rows compared pair-wise in phase 1
+MAX_ROUNDS = 10_000  # validation rounds before giving up
+
 
 class _Candidates:
     """Per-rhs sets of candidate minimal lhs's, specialized by non-FDs."""
@@ -95,13 +98,7 @@ def _violating_pair(
     return int(order[hit[0]]), int(order[hit[0] + 1])
 
 
-def hyfd(
-    df: DataFrame | pd.DataFrame,
-    attrs=None,
-    *,
-    sample_size: int = 500,
-    max_rounds: int = 10_000,
-) -> set[FD]:
+def hyfd(df: DataFrame | pd.DataFrame, attrs=None) -> set[FD]:
     """All minimal FDs of the instance restricted to ``attrs``."""
     attrs = sorted(attrs) if attrs is not None else sorted(df.columns)
     enc = Encoded.of(df, attrs)
@@ -111,13 +108,13 @@ def hyfd(
     pos = {a: i for i, a in enumerate(attrs)}
 
     # Phase 1: sampling-driven specialization.
-    for eq in _sample_agree_sets(rows, sample_size):
+    for eq in _sample_agree_sets(rows, SAMPLE_SIZE):
         cands.specialize(eq)
 
     # Phase 2: validation + violation-driven refinement. The engine counts
     # the same codes, so every violated candidate has a violating pair,
     # and that pair's agree set removes the candidate.
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         pending = cands.all_fds()
         violated = [d for d, ok in engine.check_fds(pending).items() if not ok]
         if not violated:

@@ -1,4 +1,5 @@
-r"""Generic level-wise (lattice) FD miner.
+r"""Generic level-wise (lattice) FD miner, after TANE (Huhtala et al.,
+Comput. J. 1999).
 
 One miner serves all the paper's lattice searches: base-table mining
 (Alg. 1 step 1), upstaged-FD mining on filtered/reduced instances
@@ -22,8 +23,12 @@ Pruning rules (all but the caller's hook are sound):
 - *plausible hook* — caller-supplied test: sound (Theorem 4 / Lemma 3 in
   join-FD mining) or closed under subsets (the lhs scope of ``refine``).
 
-Distinct counts are prefetched per level so each level costs O(1) Spark
-jobs regardless of candidate count.
+Each candidate is tested against these rules once, as its level is
+built, and the level's surviving candidates are then validated in one
+batch: an FD found in a level has an lhs of that level's size, so it
+cannot prune another candidate of the same level. Distinct counts are
+prefetched per level so each level costs O(1) Spark jobs regardless of
+candidate count.
 """
 from __future__ import annotations
 
@@ -112,25 +117,12 @@ def mine_fds(
             for y in rhs_pool:
                 if y not in z and not pruned(z, y):
                     candidates.append((z, y))
-        _check_level(engine, candidates, record, pruned)
+        engine.prefetch([lhs | {rhs} for lhs, rhs in candidates])
+        for lhs, rhs in candidates:
+            if engine.distinct_count(lhs | {rhs}) == engine.distinct_count(lhs):
+                record(FD(lhs, rhs))
         frontier = new_frontier
     return found
-
-
-def _check_level(
-    engine: FDEngine,
-    candidates: list[tuple[frozenset[str], str]],
-    record: Callable[[FD], None],
-    pruned: Callable[[frozenset[str], str], bool],
-) -> None:
-    """Batch-validate a level's candidates; re-test pruning after each hit
-    so that FDs found earlier in the level prune later candidates."""
-    engine.prefetch([lhs | {rhs} for lhs, rhs in candidates])
-    for lhs, rhs in candidates:
-        if pruned(lhs, rhs):  # may have become non-minimal within the level
-            continue
-        if engine.distinct_count(lhs | {rhs}) == engine.distinct_count(lhs):
-            record(FD(lhs, rhs))
 
 
 def subset_minimal(sets: Iterable[frozenset[str]]) -> set[frozenset[str]]:

@@ -21,6 +21,10 @@ from repro.fd.lattice import mine_fds
 from repro.fd.model import FD
 from repro.views.spec import ViewSpec
 
+# A view whose quadratic agree-set enumeration would exceed this many
+# pairs makes FastFDs raise ``PairBudgetExceeded`` instead of running.
+FASTFDS_MAX_PAIRS = 20_000_000
+
 
 @dataclass
 class StraightforwardResult:
@@ -34,7 +38,6 @@ def straightforward(
     algo: str = "fun",
     *,
     backend: str = "spark",
-    max_pairs: int | None = 30_000_000,
 ) -> StraightforwardResult:
     """Run one baseline algorithm over the materialized view.
 
@@ -52,7 +55,7 @@ def straightforward(
         if algo in ("tane", "fun"):
             fds = mine_fds(FDEngine(inst, n_rows=n), attrs, free_set_pruning=algo == "fun")
         elif algo == "fastfds":
-            fds = fastfds(inst, attrs, max_pairs=max_pairs)
+            fds = fastfds(inst, attrs, max_pairs=FASTFDS_MAX_PAIRS)
         elif algo == "hyfd":
             fds = hyfd(inst, attrs)
         else:

@@ -7,6 +7,7 @@ import pytest
 from repro.fd.bruteforce import brute_force_fds
 from repro.fd.engine import Encoded, FDEngine
 from repro.fd.fastfds import PairBudgetExceeded, agree_sets, fastfds
+import repro.fd.hyfd as hyfd_mod
 from repro.fd.hyfd import hyfd
 from repro.fd.lattice import mine_fds
 from repro.fd.model import FD
@@ -116,10 +117,11 @@ class TestHyFD:
         pdf = random_table(seed + 90, n=24, with_nulls=(seed % 3 == 0))
         assert hyfd(pdf) == brute_force_fds(pdf)
 
-    def test_tiny_sample_still_exact(self):
+    def test_tiny_sample_still_exact(self, monkeypatch):
         # force the validation/refinement loop to do all the work
+        monkeypatch.setattr(hyfd_mod, "SAMPLE_SIZE", 5)
         pdf = random_table(7, n=60)
-        assert hyfd(pdf, sample_size=5) == brute_force_fds(pdf)
+        assert hyfd(pdf) == brute_force_fds(pdf)
 
     def test_spark_backend(self, spark):
         pdf = random_table(3, n=20)
@@ -134,21 +136,23 @@ class TestHyFD:
         ],
         ids=["validated", "sampled"],
     )
-    def test_null_differs_from_nan(self, spark, rows, schema, expected):
+    def test_null_differs_from_nan(self, spark, monkeypatch, rows, schema, expected):
         """NULL and NaN in one float column are two values to the engine;
         HyFD must agree, or it never specializes the violated candidate,
         and so must FastFDs' agree sets."""
+        monkeypatch.setattr(hyfd_mod, "MAX_ROUNDS", 20)
         df = spark.createDataFrame(rows, schema)
         fun = mine_fds(FDEngine(df), df.columns, free_set_pruning=True)
         assert fun == fdset(*expected)
-        assert hyfd(df, max_rounds=20) == fun
+        assert hyfd(df) == fun
         assert fastfds(df) == fun
 
-    def test_null_differs_from_nan_pandas(self):
+    def test_null_differs_from_nan_pandas(self, monkeypatch):
+        monkeypatch.setattr(hyfd_mod, "MAX_ROUNDS", 20)
         pdf = pd.DataFrame({"a": [1, 1, 2], "y": [None, np.nan, 3.0]}, dtype=object)
         fun = mine_fds(FDEngine(pdf), pdf.columns, free_set_pruning=True)
         assert fun == fdset("y->a")
-        assert hyfd(pdf, max_rounds=20) == fun
+        assert hyfd(pdf) == fun
         assert fastfds(pdf) == fun
 
 

@@ -121,13 +121,12 @@ class TestJoinUpstaged:
 class TestInferFDs:
     def test_transitive_inference(self, join_case):
         L, R, sL, sR, join = join_case
-        scope = frozenset(L.columns) | frozenset(R.columns)
         engine = FDEngine(join)
         d_left = brute_force_fds(L[L.k.isin(R.k)])
         d_right = brute_force_fds(R)
         out = infer_join_fds(
             engine, frozenset(["k"]), frozenset(L.columns), frozenset(R.columns),
-            d_left, d_right, scope=scope,
+            d_left, d_right,
         )
         # a -> k on reduced L; k -> x,y on R  =>  a -> x, a -> y
         assert FD(["a"], "x") in out and FD(["a"], "y") in out
@@ -138,7 +137,6 @@ class TestInferFDs:
         out = infer_join_fds(
             engine, frozenset(["k"]), frozenset(L.columns), frozenset(R.columns),
             set(), fdset("x->y", "k->x", "k->y"),
-            scope=frozenset(L.columns) | frozenset(R.columns),
         )
         # K -> b inferred FDs are cross-table: k -> x, k -> y are
         # single-side here (k,x,y all in R), so they are NOT emitted
@@ -154,7 +152,6 @@ class TestInferFDs:
             FDEngine(join), frozenset(["k"]), frozenset(L.columns),
             frozenset(R.columns),
             fdset("a,b->k"), fdset("k->x"),
-            scope=frozenset(["k", "a", "b", "x"]),
         )
         assert FD(["a"], "x") in out
         assert FD(["a", "b"], "x") not in out
@@ -178,8 +175,7 @@ class TestInferFDs:
         # Each side's complete FD set on the join, as InFine passes it.
         fds_l, fds_r = brute_force_fds(jp, atts_l), brute_force_fds(jp, atts_r)
         out = infer_join_fds(
-            FDEngine(join), frozenset(["k"]), atts_l, atts_r, fds_l, fds_r,
-            scope=atts_l | atts_r,
+            FDEngine(join), frozenset(["k"]), atts_l, atts_r, fds_l, fds_r
         )
         side = by_rhs(fds_l | fds_r)
         assert out <= brute_force_fds(jp)
@@ -195,22 +191,22 @@ class TestMineJoinFDs:
         d_l = brute_force_fds(L)
         d_r = brute_force_fds(R)
         out = mine_join_fds(
-            FDEngine(join), frozenset(["k", "A", "Ap", "b"]), frozenset(["k"]),
-            frozenset(L.columns), frozenset(R.columns), d_l, d_r,
-            known=d_l | d_r,
+            FDEngine(join), frozenset(["k"]), frozenset(L.columns),
+            frozenset(R.columns), d_l, d_r, known=d_l | d_r,
         )
         assert FD(["A", "Ap"], "b") in out
 
-    def test_skips_when_no_feasible_rhs(self, spark):
-        # right side has no FD K∪rest -> b at all => nothing to mine and
-        # zero candidate checks
+    def test_skips_when_one_side_is_only_K(self, spark):
+        # every candidate lies on the left side, so Theorem 4 vetoes every
+        # rhs (K too) with the maximal lhs: nothing is counted
         L = pd.DataFrame({"k": [0, 0, 1, 1], "a": [0, 1, 0, 1]})
-        R = pd.DataFrame({"k": [0, 0, 1, 1], "b": [0, 1, 2, 3]})
+        R = pd.DataFrame({"k": [0, 1, 1]})
         join = spark.createDataFrame(L).join(spark.createDataFrame(R), on=["k"])
         e = FDEngine(join)
+        d_l = brute_force_fds(L)
         out = mine_join_fds(
-            e, frozenset(["a", "b"]), frozenset(["k"]),
-            frozenset(L.columns), frozenset(R.columns), set(), set(), known=set(),
+            e, frozenset(["k"]), frozenset(L.columns), frozenset(R.columns),
+            d_l, set(), known=d_l,
         )
         assert out == set() and e.jobs == 0
 
@@ -219,9 +215,8 @@ class TestMineJoinFDs:
         d_l = brute_force_fds(L[L.k.isin(R.k)])
         d_r = brute_force_fds(R)
         out = mine_join_fds(
-            FDEngine(join), frozenset(L.columns) | frozenset(R.columns),
-            frozenset(["k"]), frozenset(L.columns), frozenset(R.columns),
-            d_l, d_r, known=d_l | d_r,
+            FDEngine(join), frozenset(["k"]), frozenset(L.columns),
+            frozenset(R.columns), d_l, d_r, known=d_l | d_r,
         )
         for d in out:  # every mined FD must straddle both sides
             s = d.attrs() - {"k"}

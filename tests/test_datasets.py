@@ -155,6 +155,37 @@ class TestTpch:
         e = FDEngine(tpch["supplier"])
         assert e.holds(["s_phone"], "s_suppkey")
 
+    def test_row_counts(self, tpch):
+        # scale 1 is SF 0.001 at TPC-H's per-SF ratios
+        counts = {name: df.count() for name, df in tpch.items()}
+        assert counts == {
+            "lineitem": 6000, "orders": 1500, "customer": 150, "part": 200,
+            "supplier": 10, "nation": 25, "region": 5, "partsupp": 800,
+        }
+        assert len(tpch["supplier"].columns) == 7
+
+    @pytest.mark.parametrize(
+        "table, key",
+        [("orders", "o_orderkey"), ("customer", "c_custkey"),
+         ("part", "p_partkey"), ("supplier", "s_suppkey")],
+    )
+    def test_key_unique(self, tpch, table, key):
+        df = tpch[table]
+        assert df.count() == df.select(key).distinct().count()
+
+    def test_determinism(self, spark, tpch):
+        again = tpch_tables(spark, scale=1.0)
+        for name in ("lineitem", "customer", "partsupp"):
+            assert again[name].toPandas().equals(tpch[name].toPandas())
+
+    def test_partsupp_four_suppliers_per_part(self, tpch):
+        per_part = tpch["partsupp"].groupBy("ps_partkey").count()
+        assert per_part.agg(F.max("count")).first()[0] <= 4
+
+    def test_lineitem_suppkey_range(self, tpch):
+        mn, mx = tpch["lineitem"].select(F.min("l_suppkey"), F.max("l_suppkey")).first()
+        assert mn >= 1 and mx <= 10
+
 
 class TestRegistry:
     def test_registry_names(self):

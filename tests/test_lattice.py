@@ -1,4 +1,6 @@
 """Lattice miner tests: against brute force, pruning behaviour, hooks."""
+from collections import Counter
+
 import pandas as pd
 import pytest
 
@@ -82,6 +84,19 @@ class TestHooks:
         pdf = random_table(1, n=20)
         out = mine_fds(FDEngine(pdf), pdf.columns, plausible=lambda lhs, rhs: False)
         assert out == set()
+
+    def test_plausible_asked_once_per_candidate(self):
+        pdf = random_table(2, n=30)
+        asked = Counter()
+
+        def plausible(lhs, rhs):
+            asked[lhs, rhs] += 1
+            return True
+
+        out = mine_fds(FDEngine(pdf), pdf.columns, plausible=plausible)
+        assert out == brute_force_fds(pdf)
+        assert any(len(lhs) >= 2 for lhs, _ in asked)
+        assert max(asked.values()) == 1
 
 
 class TestBatching:
