@@ -1,9 +1,10 @@
 """Algorithm 2 — selectionFDs: upstaged FDs at a selection node.
 
 If the filter dropped no tuples the FD set is unchanged (line 4's size
-check; a collected instance knows its row count). Otherwise a level-wise search over the
-filtered instance mines the newly valid FDs, pruning candidates with the
-FDs already known on the child view (lines 8-9).
+check; a collected instance knows its row count). Otherwise a
+level-wise search over the filtered instance mines the newly valid
+FDs, pruning candidates with the FDs already known on the child view
+(lines 8-9).
 """
 from __future__ import annotations
 

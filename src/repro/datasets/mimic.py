@@ -37,11 +37,9 @@ def mimic_tables(
     subject_id = np.arange(1, n_p + 1)
     n_orphan = max(2, n_p // 20)  # last 5% never admitted
     referencable = n_p - n_orphan
-    dod_days = g.integers(0, 4000, n_p).astype("float64")
+    dod_days = g.integers(0, 4000, n_p)
     alive = g.random(n_p) < 0.6
-    dod = pd.to_datetime("2100-01-01") + pd.to_timedelta(
-        np.where(alive, np.nan, dod_days), unit="D"
-    )
+    dod = (pd.to_datetime("2100-01-01") + pd.to_timedelta(dod_days, unit="D")).where(~alive)
     flag_a = g.integers(0, 4, n_p)
     flag_b = (flag_a * 3 + 1) % 5  # functional... except for orphans:
     orphan_mask = subject_id > referencable

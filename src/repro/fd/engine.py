@@ -10,15 +10,19 @@ one of two kernels, picked once per engine from what it can observe:
   once into an ``Encoded`` instance. Every distinct count is then a
   numpy count over packed int64 keys (``key·card + codes``, the
   stripped-partition / PLI idea of TANE and HyFD), with no further
-  Spark job. Without a row count the engine does not count first: it
-  collects at most ``fit + 1`` rows, where ``fit`` is the most rows the
-  cap allows. At most ``fit`` rows is the whole instance, and gives the
-  row count; more means the instance stays on Spark. Callers pass
-  instances already pruned to the attributes they mine, so the collect
-  reads only those. Two encoded instances are joined in the driver on
-  their codes (``Encoded.join``), with no Spark job: Spark reads only
-  the leaves and σ, and keeps the joins whose inputs or output stay on
-  Spark. ``FDEngine(encoded)`` counts such an instance.
+  Spark job. Without a row count the engine does not count first.
+  Spark's ``rowCount`` statistic, read from the plan with no job, picks
+  the collect: at most ``fit``, the most rows the cap allows, collects
+  the instance whole (one stage, no exchange); above it, or with no
+  statistic, at most ``fit + 1`` rows are collected. The row count is
+  the collected table's ``num_rows``, never the statistic, which some
+  operators only estimate; more than ``fit`` rows means the instance
+  stays on Spark. Callers pass instances already pruned to the
+  attributes they mine, so the collect reads only those. Two encoded
+  instances are joined in the driver on their codes (``Encoded.join``),
+  with no Spark job: Spark reads only the leaves and σ, and keeps the
+  joins whose inputs or output stay on Spark. ``FDEngine(encoded)``
+  counts such an instance.
 - **On Spark.** Larger instances, which the driver may not hold, are
   counted by batched ``count_distinct(struct(...))`` aggregations: one
   Spark job validates a whole lattice level and Catalyst's column
@@ -114,7 +118,8 @@ class FDEngine:
         fit = _fit(len(fields))
         if self._nrows is not None and self._nrows > fit:
             return None
-        df = self.df if self._nrows is not None else self.df.limit(fit + 1)
+        bound = self._nrows if self._nrows is not None else _row_bound(self.df)
+        df = self.df if bound is not None and bound <= fit else self.df.limit(fit + 1)
         table = df.toArrow()
         self.jobs += 1
         if table.num_rows > fit:
@@ -195,6 +200,18 @@ class FDEngine:
 def _fit(ncols: int) -> int:
     """The most rows of ``ncols`` columns under the cap."""
     return (_COLLECT_CELLS - 1) // ncols
+
+
+def _row_bound(df: DataFrame) -> int | None:
+    """Spark's ``rowCount`` statistic of ``df``, read with no job from
+    the optimized plan that ``toArrow()`` reuses, below any Project or
+    Filter (neither adds rows); None if Spark has none. Some operators
+    only estimate it (a sample; a semijoin reports its left side's)."""
+    plan = df._jdf.queryExecution().optimizedPlan()
+    while plan.nodeName() in ("Project", "Filter"):
+        plan = plan.child()
+    count = plan.stats().rowCount()
+    return int(count.get()) if count.isDefined() else None
 
 
 def _none_apart(pdf: pd.DataFrame) -> pd.DataFrame:

@@ -1,5 +1,8 @@
-"""Shared test utilities: random instance generators and FD helpers."""
+"""Shared test utilities: random instance generators, FD helpers and a
+Spark stage counter."""
 from __future__ import annotations
+
+import uuid
 
 import numpy as np
 import pandas as pd
@@ -54,3 +57,18 @@ def fdset(*items: str) -> set[FD]:
         lhs_attrs = [p for p in lhs.split(",") if p.strip()]
         out.add(FD((p.strip() for p in lhs_attrs), rhs.strip()))
     return out
+
+
+def spark_stages(spark, fn) -> list[int]:
+    """Run ``fn()`` under a fresh Spark job group; the number of stages
+    of each job it started, in job id order."""
+    sc = spark.sparkContext
+    group = f"stages-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        fn()
+    finally:
+        sc._jsc.clearJobGroup()
+    sc._jsc.sc().listenerBus().waitUntilEmpty(60_000)
+    tracker = sc.statusTracker()
+    return [len(tracker.getJobInfo(j).stageIds) for j in sorted(tracker.getJobIdsForGroup(group))]

@@ -1,5 +1,9 @@
 """Synthetic dataset generators: schemas, sizes, engineered FDs and the
 referential slack that drives upstaging."""
+import warnings
+from types import SimpleNamespace
+
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -68,6 +72,21 @@ class TestMimic:
     def test_determinism(self, spark, mimic):
         again = mimic_tables(spark, scale=SCALE)
         assert again["patients"].toPandas().equals(mimic["patients"].toPandas())
+
+    def test_no_numpy_warning(self):
+        # NaN sent through pd.to_timedelta made numpy warn "overflow
+        # encountered in multiply" on some runs, not all. The digests are
+        # of the frames as generated before the fix, which changed no value.
+        frames = SimpleNamespace(createDataFrame=lambda pdf: pdf)  # no Spark needed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tables = mimic_tables(frames, scale=1.0, seed=1)
+        assert {k: int(pd.util.hash_pandas_object(v).sum()) for k, v in tables.items()} == {
+            "patients": 9066121308813793305,
+            "admissions": 6850268791564586662,
+            "diagnoses_icd": 10152455985035714944,
+            "d_icd_diagnoses": 11329216679645899864,
+        }
 
 
 class TestPte:

@@ -6,12 +6,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from pyspark.sql import functions as F
 
 import repro.fd.engine as engine_mod
 from repro.fd.engine import Encoded, FDEngine
 from repro.fd.hyfd import _violating_pair
 from repro.fd.model import FD
-from tests.helpers import random_table
+from tests.helpers import random_table, spark_stages
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +160,84 @@ class TestKernelChoice:
         assert e.jobs == 2  # 200 cells: one bounded collect, one count batch
         assert all(e.distinct_count(s) == FDEngine(pdf).distinct_count(s) for s in sets)
         assert e.n_rows() == 40
+
+    @pytest.fixture(scope="class")
+    def leaf(self, spark):
+        """A cached base table of 100 rows in 4 partitions, whatever the
+        number of cores: Spark knows its row count exactly."""
+        i = F.col("id")
+        df = spark.range(0, 100, 1, 4).select(i, (i % 7).alias("a"), (i % 3).alias("b"))
+        df = df.cache()
+        df.count()
+        yield df
+        df.unpersist()
+
+    @staticmethod
+    def _agrees_with_pandas(e, inst):
+        ref = FDEngine(inst.toPandas())
+        sets = [frozenset(s) for s in (["a"], ["b"], ["a", "b"], ["id", "b"])]
+        return e.n_rows() == len(ref.df) and all(
+            e.distinct_count(s) == ref.distinct_count(s) for s in sets
+        )
+
+    @staticmethod
+    def _plan_rows(df) -> int:
+        """The ``rowCount`` statistic of ``df``'s top plan node."""
+        return df._jdf.queryExecution().optimizedPlan().stats().rowCount().get()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda df: df,
+            lambda df: df.select("a", "b"),
+            lambda df: df.withColumnRenamed("a", "x"),
+            lambda df: df.filter(F.col("a") > 2),
+        ],
+        ids=["cached", "pruned", "renamed", "filtered"],
+    )
+    def test_known_size_collected_whole(self, spark, leaf, make):
+        # The statistic bounds the instance below fit, so it is collected
+        # whole: one job of one stage. A bounded collect (limit) would
+        # shuffle the 4 partitions into one: 2 stages.
+        inst = make(leaf)
+        e = FDEngine(inst)
+        assert spark_stages(spark, e.encoded) == [1]
+        assert e.encoded() is not None and e.jobs == 1
+        assert e.n_rows() == inst.count() and e.jobs == 1
+
+    def test_no_statistic_bounded_collect(self, spark):
+        # A DataFrame over an RDD has no row-count statistic: it keeps the
+        # bounded collect (2 stages), still one job.
+        rows = [(int(k % 5), int(k % 3)) for k in range(40)]
+        df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), "a long, b long")
+        e = FDEngine(df)
+        assert spark_stages(spark, e.encoded) == [2]
+        assert e.encoded() is not None and e.jobs == 1
+        assert e.n_rows() == 40 and e.jobs == 1
+
+    def test_statistic_is_not_the_row_count(self, spark, leaf):
+        # Spark estimates a sample at 50 rows and a left semijoin at its
+        # left side's 100; the row count is the collected one.
+        sample = leaf.sample(fraction=0.5, seed=7)  # 46 rows
+        semi = leaf.join(spark.range(0, 100, 3, 2), "id", "left_semi")
+        for inst, estimate in ((sample, 50), (semi, 100)):
+            assert self._plan_rows(inst) == estimate != inst.count()
+            e = FDEngine(inst)
+            assert e.encoded() is not None
+            assert e.n_rows() == inst.count()
+            assert self._agrees_with_pandas(e, inst)
+
+    def test_underestimate_stays_on_spark(self, spark, leaf, monkeypatch):
+        # 3 columns under a 151-cell cap: fit = 50 rows. Spark estimates
+        # the sample at 50 rows, so it is collected whole, but it holds
+        # 57: it stays on Spark, whose count is exact.
+        monkeypatch.setattr(engine_mod, "_COLLECT_CELLS", 151)
+        inst = leaf.sample(fraction=0.5, seed=2)
+        assert self._plan_rows(inst) == 50 and inst.count() == 57
+        e = FDEngine(inst)
+        assert e.encoded() is None and e.jobs == 1
+        assert e.n_rows() == 57 and e.jobs == 2
+        assert self._agrees_with_pandas(e, inst)
 
     def test_nested_columns_stay_on_spark(self, spark):
         df = spark.createDataFrame([([1, 2], 1), ([1, 2], 2), ([3], 1)], "a array<int>, b int")
