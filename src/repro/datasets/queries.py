@@ -209,7 +209,3 @@ def _tpch() -> list[QueryDef]:
 
 def all_queries() -> list[QueryDef]:
     return _pte() + _ptc() + _mimic() + _tpch()
-
-
-def queries_for(dataset: str) -> list[QueryDef]:
-    return [q for q in all_queries() if q.dataset == dataset]

@@ -19,6 +19,9 @@ all_datasets = {
 def dataset_tables(
     spark: SparkSession, name: str, *, scale: float = 1.0
 ) -> dict[str, DataFrame]:
-    """Build (and cache) the tables of one dataset at the given scale."""
-    tables = all_datasets[name](spark, scale=scale)
-    return {k: v.cache() for k, v in tables.items()}
+    """Build the tables of one dataset at the given scale, cached and
+    materialized, so that no later timed run pays for building the cache."""
+    tables = {k: v.cache() for k, v in all_datasets[name](spark, scale=scale).items()}
+    for df in tables.values():
+        df.count()
+    return tables

@@ -20,9 +20,12 @@ one of two kernels, picked once per engine from what it can observe:
   stays on Spark. Callers pass instances already pruned to the
   attributes they mine, so the collect reads only those. Two encoded
   instances are joined in the driver on their codes (``Encoded.join``),
-  with no Spark job: Spark reads only the leaves and σ, and keeps the
-  joins whose inputs or output stay on Spark. ``FDEngine(encoded)``
-  counts such an instance.
+  with no Spark job: each key column of both sides is put over one
+  dictionary, each output row is a pair of row indices (-1 for a
+  NULL-padded side), and each key takes the code of the side present.
+  Spark reads only the leaves and σ, and keeps the joins whose inputs
+  or output stay on Spark. ``FDEngine(encoded)`` counts such an
+  instance.
 - **On Spark.** Larger instances, which the driver may not hold, are
   counted by batched ``count_distinct(struct(...))`` aggregations: one
   Spark job validates a whole lattice level and Catalyst's column
@@ -235,14 +238,9 @@ class _Column:
     card: int  # every code is below it
     values: pa.Array | None  # the dictionary (values[code]), join attributes only
 
-    def take(self, idx: np.ndarray, n: int, at: int) -> _Column:
-        """The column over ``n`` rows: ``codes[idx]`` at rows
-        ``at .. at + len(idx)``, NULL (padding) at every other row."""
-        if len(idx) == n:
-            return _Column(self.codes[idx], self.card, self.values)
-        codes = np.zeros(n, np.int32)
-        codes[at : at + len(idx)] = self.codes[idx]
-        return _Column(codes, self.card, self.values)
+    def take(self, idx: np.ndarray) -> _Column:
+        """The column at rows ``idx``, where -1 reads NULL (a padded row)."""
+        return _Column(np.append(self.codes, np.int32(0))[idx], self.card, self.values)
 
 
 def _encode(col: pa.ChunkedArray) -> _Column:
@@ -306,100 +304,73 @@ class Encoded:
     def join(self, other: Encoded, on: Sequence[str], how: str) -> Encoded | None:
         """``self ⋈ other`` on the key columns ``on`` with Spark's
         ``df.join(other, on=list(on), how=...)`` semantics: one copy of
-        each key (the right one on a right join, the left one else,
-        coalesced on a full join); a NULL key matches nothing; a
+        each key, the side present; a NULL key matches nothing; a
         semijoin keeps each matching row of ``self`` once. Unmatched rows
         of a side the operator keeps are NULL-padded. None if the result
         would not fit under ``_COLLECT_CELLS`` or a key's types differ
         across sides: the join then stays on Spark."""
-        keys = _join_keys(self, other, on)
-        if keys is None:
+        if any(self.cols[a].values.type != other.cols[a].values.type for a in on):
             return None
-        lkey, rkey = keys
+        joint = [_joint(self.cols[a], other.cols[a]) for a in on]
+        lkey, rkey = _join_keys(joint, self.n_rows)
         # Left row i matches the cnt[i] right rows order[lo[i] : lo[i] + cnt[i]].
         order = np.argsort(rkey, kind="stable")
         rsorted = rkey[order]
         lo = np.searchsorted(rsorted, lkey, "left")
         cnt = np.searchsorted(rsorted, lkey, "right") - lo
         keep_l, keep_r = _KEEPS[how]
-        l_only = np.flatnonzero(cnt == 0) if keep_l else np.empty(0, np.int64)
         r_only = np.empty(0, np.int64)
         if keep_r:  # right rows no left row matches: mark the matched runs
             hit = cnt > 0
             marks = np.bincount(lo[hit], minlength=len(order) + 1)
             marks -= np.bincount((lo + cnt)[hit], minlength=len(order) + 1)
             r_only = order[np.cumsum(marks[:-1]) == 0]
-        n_inner = int(np.count_nonzero(cnt)) if how == "semi" else int(cnt.sum())
-        n = len(l_only) + n_inner + len(r_only)
+        if how == "semi":
+            cnt = np.minimum(cnt, 1)
+        # Output row j is left row li[j] and right row ri[j], -1 marking a
+        # NULL-padded side. Left row i gives reps[i] rows; a kept unmatched
+        # one reads -1 from past the end of order.
+        reps = np.maximum(cnt, 1) if keep_l else cnt
+        n = int(reps.sum()) + len(r_only)
         width = len(self.cols) + (0 if how == "semi" else len(other.cols) - len(on))
         if n > _fit(width):
             return None
-
-        # Rows are laid out [left only | matched pairs | right only].
-        if how == "semi" or cnt.max(initial=0) <= 1:
-            li = np.flatnonzero(cnt)
-            ri = order[lo[li]]
-        else:
-            li = np.repeat(np.arange(len(cnt)), cnt)
-            pos = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-            pos += np.arange(n_inner)
-            ri = order[pos]
-        li = np.concatenate([l_only, li])
-        cols = {a: self.cols[a].take(li, n, 0) for a in self.cols if a not in on}
+        lo[cnt == 0] = len(order)
+        li = np.repeat(np.arange(len(reps)), reps)
+        pos = np.repeat(lo - (np.cumsum(reps) - reps), reps) + np.arange(len(li))
+        li = np.concatenate([li, np.full(len(r_only), -1)])
+        ri = np.concatenate([np.append(order, -1)[pos], r_only])
+        cols = {a: col.take(li) for a, col in self.cols.items() if a not in on}
         if how != "semi":
-            ri = np.concatenate([ri, r_only])
-            cols |= {
-                a: col.take(ri, n, len(l_only))
-                for a, col in other.cols.items()
-                if a not in on
-            }
-        for a in on:
-            if how == "right":
-                cols[a] = other.cols[a].take(ri, n, 0)
-            elif how == "full":
-                cols[a] = _coalesce(self.cols[a], li, other.cols[a], r_only)
-            else:
-                cols[a] = self.cols[a].take(li, n, 0)
+            cols |= {a: col.take(ri) for a, col in other.cols.items() if a not in on}
+        for a, (lcol, rcol) in zip(on, joint):
+            codes = np.where(li >= 0, lcol.take(li).codes, rcol.take(ri).codes)
+            cols[a] = _Column(codes, lcol.card, lcol.values)
         return Encoded(n, cols)
 
 
 def _join_keys(
-    left: Encoded, right: Encoded, on: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """One join key per row of each side, in the left side's code space;
-    -1 for a right row whose key has a NULL or a value no left row
-    holds. None if a key column's types differ across sides."""
-    cols = []
-    unmatched = np.zeros(right.n_rows, bool)
-    for a in on:
-        lcol, rcol = left.cols[a], right.cols[a]
-        if lcol.values.type != rcol.values.type:
-            return None
-        rcodes = _to_left(lcol, rcol)[rcol.codes]
-        unmatched |= rcodes <= 0
-        cols.append((np.concatenate([lcol.codes, np.maximum(rcodes, 0)]), lcol.card))
-    key = _pack(cols)[0]
-    return key[: left.n_rows], np.where(unmatched, -1, key[left.n_rows :])
+    joint: list[tuple[_Column, _Column]], n_left: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One join key per row of each side, packed from the key columns
+    over their shared dictionaries; -1 for a right row whose key has a
+    NULL, so that it matches nothing."""
+    key = _pack([(np.concatenate([lc.codes, rc.codes]), lc.card) for lc, rc in joint])[0]
+    null = np.any([rc.codes == 0 for _, rc in joint], axis=0)
+    return key[:n_left], np.where(null, -1, key[n_left:])
 
 
-def _to_left(lcol: _Column, rcol: _Column) -> np.ndarray:
-    """Each right code's code in the left dictionary: NULL (0) maps to
-    NULL, and a value the left side lacks to -1."""
-    return pc.fill_null(pc.index_in(rcol.values, value_set=lcol.values), -1).to_numpy()
-
-
-def _coalesce(
-    lcol: _Column, li: np.ndarray, rcol: _Column, r_only: np.ndarray
-) -> _Column:
-    """A full join's key: the left value on rows ``li``, then the right
-    value on the right-only rows, coded over the left dictionary plus
-    the right values it lacks."""
-    to_left = _to_left(lcol, rcol).copy()
-    new = np.flatnonzero(to_left < 0)
-    to_left[new] = lcol.card + np.arange(len(new), dtype=np.int32)
-    codes = np.concatenate([lcol.codes[li], to_left[rcol.codes[r_only]]])
+def _joint(lcol: _Column, rcol: _Column) -> tuple[_Column, _Column]:
+    """Both columns over one dictionary: the left dictionary, then the
+    right values it lacks. NULL stays code 0, and a right value the left
+    lacks gets a code no left row holds."""
+    to_joint = pc.fill_null(pc.index_in(rcol.values, value_set=lcol.values), -1)
+    to_joint = to_joint.to_numpy().copy()
+    new = np.flatnonzero(to_joint < 0)
+    to_joint[new] = lcol.card + np.arange(len(new), dtype=np.int32)
     values = pa.concat_arrays([lcol.values, rcol.values.take(new)])
-    return _Column(codes, lcol.card + len(new), values)
+    card = lcol.card + len(new)
+    return _Column(lcol.codes, card, values), _Column(to_joint[rcol.codes], card, values)
 
 
 def _pack(cols: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:

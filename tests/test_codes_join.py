@@ -119,6 +119,64 @@ class TestAgainstSpark:
         enc = _encoded(left).join(_encoded(right), ["k"], "semi")
         assert enc.n_rows == 2 == left.join(right, "k", "left_semi").count()
 
+    @pytest.mark.parametrize("empty", ["left", "right", "both"])
+    @pytest.mark.parametrize("how", HOWS)
+    def test_empty_side(self, spark, how, empty):
+        left, right, on = _sides(spark, "two_cols")
+        if empty != "right":
+            left = left.limit(0)
+        if empty != "left":
+            right = right.limit(0)
+        enc = _encoded(left).join(_encoded(right), on, how)
+        _assert_same(enc, left.join(right, on=on, how=_SPARK_HOW[how]))
+
+
+# Join trees as nested pairs of table indices: depth 2 over four tables,
+# and depth 3 with the nested child on the left and on the right.
+SHAPES = [((0, 1), (2, 3)), (((0, 1), 2), 3), (0, ((1, 2), 3))]
+# Key pools with duplicates, NULL, NaN, -0.0/0.0 and strings, and the
+# keys of each table. A join is on all the keys its sides share: one or
+# two columns in these shapes.
+TREE_KEYS = {
+    "k": ("double", [0.0, -0.0, NAN, NAN, None, 1.5, 1.5, 2.5]),
+    "s": ("string", ["x", "y", "y", "", None]),
+    "i": ("long", [0, 1, 1, 2, None]),
+}
+TABLE_KEYS = [["k"], ["k", "s"], ["k", "s"], ["k", "i"]]
+
+
+class TestRandomTrees:
+    @pytest.fixture(scope="class")
+    def tables(self, spark):
+        """Four small tables with seeded rows, as Spark frames and as
+        encoded instances."""
+        g = np.random.default_rng(7)
+        out = []
+        for t, keys in enumerate(TABLE_KEYS):
+            schema = ", ".join(f"{k} {TREE_KEYS[k][0]}" for k in keys)
+            rows = _rows(g, int(g.integers(6, 11)), [TREE_KEYS[k][1] for k in keys], 1)
+            df = spark.createDataFrame(rows, f"{schema}, a{t} long")
+            out.append((df, _encoded(df)))
+        return out
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("turn", range(len(HOWS)))
+    def test_codes_tree_equals_spark_tree(self, tables, shape, turn):
+        # The operator at depth d is HOWS[(turn + d) % 5], so over the
+        # five turns every level of every shape meets every operator.
+        def build(node, depth):
+            if isinstance(node, int):
+                return tables[node]
+            (ldf, lenc), (rdf, renc) = (build(c, depth + 1) for c in node)
+            on = sorted(set(ldf.columns) & set(rdf.columns))
+            how = HOWS[(turn + depth) % len(HOWS)]
+            enc = lenc.join(renc, on, how)
+            assert enc is not None
+            return ldf.join(rdf, on=on, how=_SPARK_HOW[how]), enc
+
+        spark_tree, enc = build(shape, 0)
+        _assert_same(enc, spark_tree)
+
 
 class TestStaysOnSpark:
     def test_join_above_cap_stays_on_spark(self, spark, monkeypatch):

@@ -214,5 +214,10 @@ class TestRegistry:
     def test_dataset_tables_cached(self, spark, name):
         tables = dataset_tables(spark, name, scale=0.1)
         assert all(df.is_cached for df in tables.values())
+        # The cache is built with the tables, not by the first run over them.
+        cache = spark._jsparkSession.sharedState().cacheManager()
+        for df in tables.values():
+            built = cache.lookupCachedData(df._jdf).get().cachedRepresentation()
+            assert built.cacheBuilder().isCachedColumnBuffersLoaded()
         for df in tables.values():
             df.unpersist()

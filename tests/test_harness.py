@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from repro.datasets.pte import pte_tables
-from repro.datasets.queries import queries_for
+from repro.datasets.queries import all_queries
 from repro.fd.fastfds import PairBudgetExceeded
 from repro.harness import TableCache, runtime
 from repro.harness.runtime import _measured, format_runtime, runtime_rows
@@ -44,6 +44,7 @@ SMALL_VIEWS = {
     "mimic3": ("diagnosesicd ⋈ patients", 0.1),
     "tpch": ("Q9*(P ⋈ PS ⋈ S ⋈ L ⋈ O ⋈ N)", 0.5),
 }
+PTE = [q for q in all_queries() if q.dataset == "pte"]
 
 
 class TestStraightforward:
@@ -62,7 +63,7 @@ class TestStraightforward:
     )
     def test_all_algos_agree_on_small_view(self, tables_of, dataset, algo):
         tables = tables_of(dataset)
-        (q,) = [q for q in queries_for(dataset) if q.name == SMALL_VIEWS[dataset][0]]
+        (q,) = [q for q in all_queries() if q.name == SMALL_VIEWS[dataset][0]]
         ref = straightforward(tables, q.spec, algo="fun")
         got = straightforward(tables, q.spec, algo=algo)
         assert got.fds == ref.fds
@@ -71,16 +72,14 @@ class TestStraightforward:
     def test_unknown_algo(self, spark):
         tables = pte_tables(spark, scale=0.05)
         with pytest.raises(ValueError):
-            straightforward(tables, queries_for("pte")[0].spec, algo="nope")
+            straightforward(tables, PTE[0].spec, algo="nope")
 
 
 class TestTable3AndRuntime:
     def test_table3_rows_pte_only(self, spark, monkeypatch):
         import repro.harness.table3 as t3
 
-        monkeypatch.setattr(
-            t3, "all_queries", lambda: queries_for("pte")[:2]
-        )
+        monkeypatch.setattr(t3, "all_queries", lambda: PTE[:2])
         rows = t3.table3_rows(spark, scale=0.05)
         assert len(rows) == 2
         for r in rows:
@@ -95,7 +94,7 @@ class TestTable3AndRuntime:
         rows = runtime_rows(
             spark,
             scale=0.05,
-            queries=queries_for("pte")[1:2],
+            queries=PTE[1:2],
             baselines=("fun",),
         )
         (r,) = rows
@@ -110,7 +109,7 @@ class TestTable3AndRuntime:
         monkeypatch.setattr(runtime, "straightforward", broken)
         with pytest.raises(ValueError, match="baseline broke"):
             runtime_rows(
-                spark, scale=0.05, queries=queries_for("pte")[1:2], baselines=("fun",)
+                spark, scale=0.05, queries=PTE[1:2], baselines=("fun",)
             )
 
     def test_format_runtime_shows_budget_and_mismatch(self):
