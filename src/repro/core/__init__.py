@@ -1,5 +1,1 @@
 """InFine: provenance-aware FD discovery on integrated views (Alg. 1-5)."""
-from repro.core.infine import InFineResult, run_infine
-from repro.core.provenance import Triple
-
-__all__ = ["run_infine", "InFineResult", "Triple"]

@@ -40,7 +40,7 @@ from repro.core.selection_fds import selection_upstaged
 from repro.fd.engine import Encoded, FDEngine
 from repro.fd.lattice import mine_fds
 from repro.fd.model import FD
-from repro.views.spec import _KEEPS, BaseRel, Join, Project, Select, ViewSpec
+from repro.views.spec import _OPS, BaseRel, Join, Project, Select, ViewSpec
 
 
 @dataclass
@@ -216,7 +216,7 @@ def _join_node(run: _Run, spec: Join) -> _Node:
                 renc.select(right.attrs), spec.on, spec.how
             )
     join_engine = run.engine(spec.instance(run.tables) if codes is None else codes)
-    keeps = _KEEPS[spec.how]
+    keeps = _OPS[spec.how].keeps
     # A semijoin outputs only the left attributes: only left upstaged FDs
     # can appear, and there is nothing to infer or mine across sides.
     sides = [(left, P.UPSTAGED_LEFT)]
@@ -225,15 +225,20 @@ def _join_node(run: _Run, spec: Join) -> _Node:
 
     kept_triples: list[Triple] = []
     side_full: list[set[FD]] = []
+    premise: list[set[FD]] = []  # where Theorem 4 reads each side's FDs
     for i, (node, tag) in enumerate(sides):
+        own = {t.fd for t in node.triples}
         with run.timed("upstage_join"):
             out = process_side(
-                node.engine, [t.fd for t in node.triples], join_engine, node.attrs,
+                node.engine, own, join_engine, node.attrs,
                 loses=not keeps[i], padded=keeps[1 - i],
             )
         kept_triples += [t for t in node.triples if t.fd in out.kept]
         kept_triples += [Triple(d, tag, label) for d in sorted(out.upstaged)]
         side_full.append(out.kept | out.upstaged)
+        # A kept side's own tuples are all on the join; its projection of
+        # the join may also hold the other side's unmatched rows (⟗).
+        premise.append(own if keeps[i] else side_full[i])
     if spec.how == "semi":
         return _Node(join_engine, left.attrs, P.minimize_triples(kept_triples))
 
@@ -243,7 +248,7 @@ def _join_node(run: _Run, spec: Join) -> _Node:
 
     with run.timed("mine_join"):
         mined = mine_join_fds(
-            join_engine, K, left.attrs, right.attrs, *side_full,
+            join_engine, K, left.attrs, right.attrs, *premise,
             side_full[0] | side_full[1] | inferred,
         )
     mine_triples = [Triple(d, P.JOIN_FD, label) for d in sorted(mined)]

@@ -18,8 +18,9 @@ decisions"):
 - ``left``/``right``: the preserved side is untouched; the other side
   both loses tuples and gains NULL padding → inherited FDs are
   *validated* on the side projection of the join and new ones mined.
-- ``full``: no side loses tuples; padding can only break FDs →
-  validation only.
+- ``full``: no side loses tuples, but both are padded: padding can
+  break an inherited FD, and then its specializations may hold → both
+  sides are validated and mined, as a padded side is.
 """
 from __future__ import annotations
 
@@ -56,8 +57,8 @@ def process_side(
         kept = {d for d, ok in checks.items() if ok}
 
     upstaged: set[FD] = set()
-    if loses and (
-        padded or join_engine.distinct_count(cols) < side_engine.distinct_count(cols)
+    if padded or (
+        loses and join_engine.distinct_count(cols) < side_engine.distinct_count(cols)
     ):
         upstaged = mine_fds(join_engine, cols, known=kept)
     return SideOutcome(kept=kept, upstaged=upstaged)

@@ -1,12 +1,17 @@
 """Algorithm 5 — mineFDs: selective mining of the remaining join FDs.
 
 Theorem 4 says a join FD ``C -> b`` (with ``b`` on side J) can only be
-valid if ``K ∪ (C ∩ atts(J)) -> b`` already holds on side J's reduced
-instance; Lemma 3 is the special case where ``C`` lies entirely on the
-other side. Both become one sound ``plausible`` pruning rule plugged
-into the generic lattice miner, which then validates the surviving
-candidates with distinct-count checks over the (column-pruned, partial)
-join instance — never the fully materialized wide view.
+valid if ``K ∪ (C ∩ atts(J)) -> b`` already holds on side J's tuples
+that reach the join; Lemma 3 is the special case where ``C`` lies
+entirely on the other side. A side that loses tuples is read as its
+projection of the join, and a side that keeps every tuple as itself:
+on a full join, J's projection also holds the other side's unmatched
+rows, and such a row's NULL key equals that of J's own NULL-key rows,
+so a premise can fail there although the view FD holds. Both become
+one sound ``plausible`` pruning rule plugged into the generic lattice
+miner, which then validates the surviving candidates with
+distinct-count checks over the (column-pruned, partial) join instance
+— never the fully materialized wide view.
 
 ``plausible`` is monotone in the lhs, so an rhs it vetoes with the
 *maximal* lhs (every other attribute of the join) is vetoed with every
@@ -36,7 +41,8 @@ def mine_join_fds(
 ) -> set[FD]:
     """All minimal view FDs over ``atts_left | atts_right`` not already in
     ``known`` (which must contain both sides' complete single-side FD
-    sets and the inferred FDs)."""
+    sets on the join and the inferred FDs). ``fds_left`` and
+    ``fds_right`` are the sides' FD sets Theorem 4 reads."""
     idx_l, idx_r = by_rhs(fds_left), by_rhs(fds_right)
     attrs = atts_left | atts_right
 

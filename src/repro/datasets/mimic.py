@@ -21,11 +21,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-DEFAULT_SCALE = 1.0
-
-
 def mimic_tables(
-    spark: SparkSession, *, scale: float = DEFAULT_SCALE, seed: int = 7
+    spark: SparkSession, *, scale: float = 1.0, seed: int = 7
 ) -> dict[str, DataFrame]:
     g = np.random.default_rng(seed)
     n_p = max(30, int(800 * scale))

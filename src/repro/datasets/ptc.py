@@ -11,11 +11,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-DEFAULT_SCALE = 1.0
-
-
 def ptc_tables(
-    spark: SparkSession, *, scale: float = DEFAULT_SCALE, seed: int = 13
+    spark: SparkSession, *, scale: float = 1.0, seed: int = 13
 ) -> dict[str, DataFrame]:
     g = np.random.default_rng(seed)
     n_mol = max(20, int(343 * min(1.0, scale * 2)))

@@ -14,11 +14,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-DEFAULT_SCALE = 1.0
-
-
 def pte_tables(
-    spark: SparkSession, *, scale: float = DEFAULT_SCALE, seed: int = 11
+    spark: SparkSession, *, scale: float = 1.0, seed: int = 11
 ) -> dict[str, DataFrame]:
     g = np.random.default_rng(seed)
     n_drug = max(20, int(340 * min(1.0, scale * 2)))

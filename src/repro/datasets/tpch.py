@@ -21,11 +21,10 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 BASE_SF = 0.001
-DEFAULT_SCALE = 1.0
 
 
 def tpch_tables(
-    spark: SparkSession, *, scale: float = DEFAULT_SCALE, seed: int = 0
+    spark: SparkSession, *, scale: float = 1.0, seed: int = 0
 ) -> dict[str, DataFrame]:
     sf = BASE_SF * scale
     n_li, n_o, n_c, n_p, n_s = (

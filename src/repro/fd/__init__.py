@@ -1,4 +1,1 @@
 """Functional-dependency machinery: model, engines, miners, baselines."""
-from repro.fd.model import FD, closure, has_subset_fd, minimize
-
-__all__ = ["FD", "closure", "has_subset_fd", "minimize"]

@@ -63,7 +63,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import ArrayType, MapType, StructType
 
 from repro.fd.model import FD
-from repro.views.spec import _KEEPS
+from repro.views.spec import _OPS
 
 # How many count_distinct aggregates to put in a single Spark job. Each
 # distinct aggregate expands the input once (Expand operator), so this
@@ -318,7 +318,7 @@ class Encoded:
         rsorted = rkey[order]
         lo = np.searchsorted(rsorted, lkey, "left")
         cnt = np.searchsorted(rsorted, lkey, "right") - lo
-        keep_l, keep_r = _KEEPS[how]
+        keep_l, keep_r = _OPS[how].keeps
         r_only = np.empty(0, np.int64)
         if keep_r:  # right rows no left row matches: mark the matched runs
             hit = cnt > 0

@@ -6,7 +6,7 @@ does — that cost is identical on both sides because provenance requires
 base FDs either way) vs. view materialization + mining time per baseline.
 
 Memory: ``tracemalloc`` peak of driver-side Python allocations during
-a second run (the time comes from a run without tracing), plus the
+a third run (the time comes from the second, warm and untraced), plus the
 number of view rows each method materializes — the portable proxies for
 the paper's process-peak measurement (DESIGN.md).
 """
@@ -31,7 +31,10 @@ def _measured(fn: Callable) -> tuple[float, float, object]:
     """``fn``'s wall time, its peak of driver-side Python allocations in
     MB, and its result. The two figures come from two calls, because
     tracing slows Python loops several-fold: the time from a call
-    without ``tracemalloc``, the peak from a second call under it."""
+    without ``tracemalloc``, the peak from a second call under it. A
+    first call, neither timed nor traced, pays what only a first call
+    over a view pays (Spark's code generation and plan caches)."""
+    fn()
     t0 = time.perf_counter()
     out = fn()
     dt = time.perf_counter() - t0

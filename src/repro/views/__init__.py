@@ -1,4 +1,1 @@
 """SPJ view specifications (Definition 2/3 of the paper)."""
-from repro.views.spec import BaseRel, Join, Project, Select, ViewSpec
-
-__all__ = ["ViewSpec", "BaseRel", "Project", "Select", "Join"]

@@ -18,41 +18,30 @@ Each node can:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterator, Mapping, NamedTuple
 
 from pyspark.sql import DataFrame
 
-_JOIN_SYMBOL = {
-    "inner": "⋈",
-    "left": "⟕",
-    "right": "⟖",
-    "full": "⟗",
-    "semi": "⋉",
-}
-_SPARK_HOW = {
-    "inner": "inner",
-    "left": "left_outer",
-    "right": "right_outer",
-    "full": "full_outer",
-    "semi": "left_semi",
-}
-# Per join operator, whether the (left, right) side keeps every tuple.
-# A side that does not loses tuples (Alg. 3 line 14); a side whose other
-# side keeps every tuple is NULL-padded where that side has no match.
-_KEEPS = {
-    "inner": (False, False),
-    "semi": (False, False),
-    "left": (True, False),
-    "right": (False, True),
-    "full": (True, True),
-}
-_SQL_JOIN = {
-    "inner": "INNER JOIN",
-    "left": "LEFT OUTER JOIN",
-    "right": "RIGHT OUTER JOIN",
-    "full": "FULL OUTER JOIN",
-    "semi": "SEMI JOIN",  # DuckDB supports SEMI JOIN ... USING
+
+class _Op(NamedTuple):
+    """One join operator: its algebra symbol, Spark ``how`` and SQL join."""
+
+    symbol: str
+    spark: str
+    sql: str  # DuckDB supports SEMI JOIN ... USING
+    # Whether the (left, right) side keeps every tuple. A side that does
+    # not loses tuples (Alg. 3 line 14); a side whose other side keeps
+    # every tuple is NULL-padded where that side has no match.
+    keeps: tuple[bool, bool]
+
+
+_OPS = {
+    "inner": _Op("⋈", "inner", "INNER JOIN", (False, False)),
+    "left": _Op("⟕", "left_outer", "LEFT OUTER JOIN", (True, False)),
+    "right": _Op("⟖", "right_outer", "RIGHT OUTER JOIN", (False, True)),
+    "full": _Op("⟗", "full_outer", "FULL OUTER JOIN", (True, True)),
+    "semi": _Op("⋉", "left_semi", "SEMI JOIN", (False, False)),
 }
 
 
@@ -67,7 +56,7 @@ class ViewSpec:
     def instance(self, tables: Mapping[str, DataFrame]) -> DataFrame:
         raise NotImplementedError
 
-    def to_sql(self, counter: Iterator[int] | None = None) -> str:
+    def to_sql(self, counter: Iterator[int]) -> str:
         raise NotImplementedError
 
     def label(self) -> str:
@@ -109,7 +98,7 @@ class BaseRel(ViewSpec):
             df = df.withColumnRenamed(old, new)
         return df
 
-    def to_sql(self, counter=None):
+    def to_sql(self, counter):
         if not self.rename:
             return self.name
         # DuckDB 1.0 has no SELECT * RENAME; EXCLUDE + re-aliasing is
@@ -126,24 +115,14 @@ class BaseRel(ViewSpec):
 
 
 @dataclass(frozen=True)
-class Project(ViewSpec):
+class _Unary(ViewSpec):
+    """A node over one child (π or σ): the child's attributes, join
+    attributes, base relations and outermost join."""
+
     child: ViewSpec
-    cols: tuple[str, ...]
 
     def proj(self, schemas):
-        _check_known(self, self.cols, self.child.proj(schemas))
-        return frozenset(self.cols)
-
-    def instance(self, tables):
-        return self.child.instance(tables).select(*self.cols)
-
-    def to_sql(self, counter=None):
-        counter = counter or itertools.count()
-        cols = ", ".join(f'"{c}"' for c in self.cols)
-        return f"(SELECT {cols} FROM {self.child.to_sql(counter)} p{next(counter)})"
-
-    def label(self):
-        return f"π[{','.join(self.cols)}]({self.child.label()})"
+        return self.child.proj(schemas)
 
     def join_attrs(self):
         return self.child.join_attrs()
@@ -156,22 +135,36 @@ class Project(ViewSpec):
 
 
 @dataclass(frozen=True)
-class Select(ViewSpec):
+class Project(_Unary):
+    cols: tuple[str, ...]
+
+    def proj(self, schemas):
+        _check_known(self, self.cols, self.child.proj(schemas))
+        return frozenset(self.cols)
+
+    def instance(self, tables):
+        return self.child.instance(tables).select(*self.cols)
+
+    def to_sql(self, counter):
+        cols = ", ".join(f'"{c}"' for c in self.cols)
+        return f"(SELECT {cols} FROM {self.child.to_sql(counter)} p{next(counter)})"
+
+    def label(self):
+        return f"π[{','.join(self.cols)}]({self.child.label()})"
+
+
+@dataclass(frozen=True)
+class Select(_Unary):
     """σ with a predicate string valid both as a Spark SQL expression and
     as a DuckDB expression (the subset we use: comparisons, AND/OR, IN,
     DATE literals)."""
 
-    child: ViewSpec
     predicate: str
-
-    def proj(self, schemas):
-        return self.child.proj(schemas)
 
     def instance(self, tables):
         return self.child.instance(tables).filter(self.predicate)
 
-    def to_sql(self, counter=None):
-        counter = counter or itertools.count()
+    def to_sql(self, counter):
         return (
             f"(SELECT * FROM {self.child.to_sql(counter)} s{next(counter)} "
             f"WHERE {self.predicate})"
@@ -179,15 +172,6 @@ class Select(ViewSpec):
 
     def label(self):
         return f"σ[{self.predicate}]({self.child.label()})"
-
-    def join_attrs(self):
-        return self.child.join_attrs()
-
-    def base_names(self):
-        return self.child.base_names()
-
-    def top_join(self):
-        return self.child.top_join()
 
 
 @dataclass(frozen=True)
@@ -198,7 +182,7 @@ class Join(ViewSpec):
     how: str = "inner"
 
     def __post_init__(self):
-        if self.how not in _SPARK_HOW:
+        if self.how not in _OPS:
             raise ValueError(f"unsupported join operator {self.how!r}")
         if not self.on:
             raise ValueError("join requires at least one join attribute")
@@ -220,16 +204,15 @@ class Join(ViewSpec):
     def instance(self, tables):
         ldf = self.left.instance(tables)
         rdf = self.right.instance(tables)
-        return ldf.join(rdf, on=list(self.on), how=_SPARK_HOW[self.how])
+        return ldf.join(rdf, on=list(self.on), how=_OPS[self.how].spark)
 
-    def to_sql(self, counter=None):
-        counter = counter or itertools.count()
+    def to_sql(self, counter):
         lsql = self.left.to_sql(counter)
         rsql = self.right.to_sql(counter)
         using = ", ".join(f'"{c}"' for c in self.on)
         la, ra = next(counter), next(counter)
         return (
-            f"(SELECT * FROM {lsql} j{la} {_SQL_JOIN[self.how]} "
+            f"(SELECT * FROM {lsql} j{la} {_OPS[self.how].sql} "
             f"{rsql} j{ra} USING ({using}))"
         )
 
@@ -239,7 +222,7 @@ class Join(ViewSpec):
             return f"[{lbl}]" if isinstance(s, Join) else lbl
 
         return (
-            f"{wrap(self.left)} {_JOIN_SYMBOL[self.how]}"
+            f"{wrap(self.left)} {_OPS[self.how].symbol}"
             f"_{{{','.join(self.on)}}} {wrap(self.right)}"
         )
 

@@ -16,7 +16,7 @@ from repro.core.infine import run_infine
 from repro.core.mine_join_fds import mine_join_fds
 from repro.fd.bruteforce import brute_force_fds
 from repro.fd.engine import FDEngine
-from repro.views.spec import _SPARK_HOW, BaseRel, Join
+from repro.views.spec import _OPS, BaseRel, Join
 from tests.helpers import random_join_pair
 
 HOWS = ["inner", "left", "right", "full", "semi"]
@@ -86,7 +86,7 @@ class TestAgainstSpark:
     def test_codes_join_equals_spark_join(self, spark, how, case):
         left, right, on = _sides(spark, case)
         enc = _encoded(left).join(_encoded(right), on, how)
-        _assert_same(enc, left.join(right, on=on, how=_SPARK_HOW[how]))
+        _assert_same(enc, left.join(right, on=on, how=_OPS[how].spark))
 
     @pytest.mark.parametrize("outer", HOWS)
     @pytest.mark.parametrize(
@@ -110,8 +110,8 @@ class TestAgainstSpark:
         )
         child = _encoded(left).join(_encoded(right), on, inner)
         enc = child.join(_encoded(third), ["x", *on], outer)
-        spark_child = left.join(right, on=on, how=_SPARK_HOW[inner])
-        _assert_same(enc, spark_child.join(third, on=["x", *on], how=_SPARK_HOW[outer]))
+        spark_child = left.join(right, on=on, how=_OPS[inner].spark)
+        _assert_same(enc, spark_child.join(third, on=["x", *on], how=_OPS[outer].spark))
 
     def test_semijoin_keeps_each_left_row_once(self, spark):
         left = spark.createDataFrame([(1, 0), (1, 0), (2, 0)], "k long, a long")
@@ -128,7 +128,7 @@ class TestAgainstSpark:
         if empty != "left":
             right = right.limit(0)
         enc = _encoded(left).join(_encoded(right), on, how)
-        _assert_same(enc, left.join(right, on=on, how=_SPARK_HOW[how]))
+        _assert_same(enc, left.join(right, on=on, how=_OPS[how].spark))
 
 
 # Join trees as nested pairs of table indices: depth 2 over four tables,
@@ -172,7 +172,7 @@ class TestRandomTrees:
             how = HOWS[(turn + depth) % len(HOWS)]
             enc = lenc.join(renc, on, how)
             assert enc is not None
-            return ldf.join(rdf, on=on, how=_SPARK_HOW[how]), enc
+            return ldf.join(rdf, on=on, how=_OPS[how].spark), enc
 
         spark_tree, enc = build(shape, 0)
         _assert_same(enc, spark_tree)

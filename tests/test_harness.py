@@ -140,6 +140,17 @@ class TestMeasured:
         dt, _, _ = _measured(slow_when_traced)
         assert dt < 0.1
 
+    def test_time_is_taken_warm(self):
+        calls = []
+
+        def slow_first_call():
+            if not calls:
+                time.sleep(0.2)
+            calls.append(1)
+
+        dt, _, _ = _measured(slow_first_call)
+        assert dt < 0.1 and len(calls) == 3
+
     def test_raising_traced_call_stops_tracing(self):
         def fails_when_traced():
             if tracemalloc.is_tracing():

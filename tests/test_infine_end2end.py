@@ -12,7 +12,7 @@ from repro.core.infine import run_infine
 from repro.core.mine_join_fds import mine_join_fds
 from repro.fd.bruteforce import brute_force_fds
 from repro.views.spec import BaseRel, Join, Project, Select
-from tests.helpers import random_join_pair, random_table
+from tests.helpers import fdset, random_join_pair, random_table
 
 
 def _tables(spark, **pdfs):
@@ -113,6 +113,45 @@ class TestRandomizedEquivalenceSparkKernel(TestRandomizedEquivalence):
     @pytest.mark.parametrize("seed", [0])
     def test_three_way_join(self, spark, seed):
         super().test_three_way_join(spark, seed)
+
+
+@pytest.mark.usefixtures("kernel")
+class TestFullJoin:
+    """Full outer joins, where both sides are kept and NULL-padded, on
+    both kernels."""
+
+    @pytest.fixture(params=["in_process", "spark"])
+    def kernel(self, request):
+        if request.param == "spark":
+            request.getfixturevalue("spark_kernel")
+
+    def _check(self, spark, spec, **tables):
+        tables = {k: spark.createDataFrame(*v) for k, v in tables.items()}
+        res = run_infine(tables, spec)
+        ref = brute_force_fds(spec.instance(tables).toPandas())
+        assert res.fds == ref, (sorted(map(str, ref - res.fds)), sorted(map(str, res.fds - ref)))
+        return res
+
+    def test_broken_side_fd_is_specialized(self, spark):
+        """Padding breaks R's ``-> w``; its specialization ``k -> w`` is
+        mined on the padded side."""
+        res = self._check(
+            spark, Join(BaseRel("L"), BaseRel("R"), on=("k",), how="full"),
+            L=([(1,), (2,)], "k long"), R=([(1, 0), (3, 0)], "k long, w long"),
+        )
+        assert fdset("k->w") <= res.fds
+        assert {t.type for t in res.triples if t.fd in fdset("k->w")} == {P.UPSTAGED_RIGHT}
+
+    def test_theorem4_premise_on_own_tuples(self, spark):
+        """R's unmatched NULL-key row is on L's side of the join with a
+        NULL key, like L's own NULL-key row: ``m -> x`` fails there, but
+        the view FDs ``m,y -> x``, ``m,x -> y`` and ``x,z -> y`` hold."""
+        res = self._check(
+            spark, Join(BaseRel("L"), BaseRel("R"), on=("m",), how="full"),
+            L=([(None, 5), (1, 6), (2, 7)], "m long, x long"),
+            R=([(None, None, 1), (1, 0, 0), (3, 0, 0)], "m long, z long, y long"),
+        )
+        assert fdset("m,x->y", "m,y->x", "x,z->y") <= res.fds
 
 
 class TestNoCacheLeak:

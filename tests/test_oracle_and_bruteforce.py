@@ -28,6 +28,17 @@ class TestOracle:
             assert_equivalent(sdf, "SELECT a AS b FROM t", t=pdf)
 
 
+    def test_detects_null_turned_into_nan(self, spark):
+        D = spark.createDataFrame([(None,), (float("nan"),), (1.0,)], "d double")
+        assert_equivalent(D, "SELECT d FROM D", D=D)
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                D,
+                "SELECT CASE WHEN d IS NULL THEN 'NaN'::DOUBLE ELSE d END AS d FROM D",
+                D=D,
+            )
+
+
 class TestBruteForce:
     def test_known_fds(self):
         pdf = pd.DataFrame({"k": [1, 2, 3], "v": [5, 5, 6]})

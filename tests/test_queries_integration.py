@@ -41,8 +41,7 @@ class TestViewInstancesVsOracle:
     @pytest.mark.parametrize("q", _param_queries())
     def test_instance_matches_duckdb(self, tables_of, q):
         tables = tables_of(q.dataset)
-        pdfs = {name: df.toPandas() for name, df in tables.items()}
-        assert_equivalent(q.spec.instance(tables), view_sql(q.spec), **pdfs)
+        assert_equivalent(q.spec.instance(tables), view_sql(q.spec), **tables)
 
 
 class TestQueryInventory:
