@@ -18,9 +18,10 @@ decisions"):
 - ``left``/``right``: the preserved side is untouched; the other side
   both loses tuples and gains NULL padding → inherited FDs are
   *validated* on the side projection of the join and new ones mined.
-- ``full``: no side loses tuples, but both are padded: padding can
-  break an inherited FD, and then its specializations may hold → both
-  sides are validated and mined, as a padded side is.
+- ``full``: no side loses tuples, both are padded → both are validated.
+  A side that only gains padding rows gains no FD while every inherited
+  FD holds; padding can break one, whose specializations may then hold
+  → only then is the side mined.
 """
 from __future__ import annotations
 
@@ -52,13 +53,15 @@ def process_side(
     """The side's complete FD set on the join. ``cols`` are the side's
     attributes in the mining scope; both engines' instances hold them."""
     kept = set(side_fds)
+    broke = False  # padding broke an inherited FD
     if padded:
         checks = join_engine.check_fds(sorted(kept))
         kept = {d for d, ok in checks.items() if ok}
+        broke = len(kept) < len(checks)
 
     upstaged: set[FD] = set()
-    if padded or (
-        loses and join_engine.distinct_count(cols) < side_engine.distinct_count(cols)
+    if broke or loses and (
+        padded or join_engine.distinct_count(cols) < side_engine.distinct_count(cols)
     ):
         upstaged = mine_fds(join_engine, cols, known=kept)
     return SideOutcome(kept=kept, upstaged=upstaged)

@@ -1,31 +1,27 @@
 """Distinct-count engine: the single source of FD-validity truth.
 
 ``X -> y`` holds on an instance iff ``|distinct(X)| == |distinct(X ∪ {y})|``
-— the partition-cardinality test of TANE. A Spark instance is counted by
-one of two kernels, picked once per engine from what it can observe:
+— the partition-cardinality test of TANE. ``FDEngine`` counts a Spark
+DataFrame, with one of two kernels picked once per engine, or an
+``Encoded`` instance, in process:
 
 - **In process.** When rows × columns is below ``_COLLECT_CELLS`` (and
   no column is nested), the instance is collected once with
   ``toArrow()`` — one Spark job — and each column is dictionary-encoded
   once into an ``Encoded`` instance. Every distinct count is then a
   numpy count over packed int64 keys (``key·card + codes``, the
-  stripped-partition / PLI idea of TANE and HyFD), with no further
-  Spark job. Without a row count the engine does not count first.
-  Spark's ``rowCount`` statistic, read from the plan with no job, picks
-  the collect: at most ``fit``, the most rows the cap allows, collects
-  the instance whole (one stage, no exchange); above it, or with no
-  statistic, at most ``fit + 1`` rows are collected. The row count is
-  the collected table's ``num_rows``, never the statistic, which some
-  operators only estimate; more than ``fit`` rows means the instance
-  stays on Spark. Callers pass instances already pruned to the
-  attributes they mine, so the collect reads only those. Two encoded
-  instances are joined in the driver on their codes (``Encoded.join``),
-  with no Spark job: each key column of both sides is put over one
-  dictionary, each output row is a pair of row indices (-1 for a
-  NULL-padded side), and each key takes the code of the side present.
-  Spark reads only the leaves and σ, and keeps the joins whose inputs
-  or output stay on Spark. ``FDEngine(encoded)`` counts such an
-  instance.
+  stripped-partition / PLI idea of TANE and HyFD). Spark's ``rowCount``
+  statistic, read from the plan with no job, picks the collect: at most
+  ``fit``, the most rows the cap allows, collects the instance whole
+  (one stage, no exchange); above it, or with no statistic, at most
+  ``fit + 1`` rows are collected. The row count is the collected
+  table's ``num_rows``, never the statistic, which some operators only
+  estimate; more than ``fit`` rows keeps the instance on Spark. Two
+  encoded instances are joined in the driver on their codes
+  (``Encoded.join``), with no Spark job: each key column of both sides
+  is put over one dictionary, each output row is a pair of row indices
+  (-1 for a NULL-padded side), and each key takes the code of the side
+  present.
 - **On Spark.** Larger instances, which the driver may not hold, are
   counted by batched ``count_distinct(struct(...))`` aggregations: one
   Spark job validates a whole lattice level and Catalyst's column
@@ -39,15 +35,9 @@ from its float normalization; the in-process kernel gets it by encoding
 NULL as code 0 of every column and by normalizing floats before encoding,
 since Arrow alone tells ``-0.0`` from ``0.0`` and NaN payloads apart.
 A join on codes matches keys with the same equality, except that, as
-in Spark, a NULL key matches nothing. The HyFD and FastFDs baselines
-read their whole instance as the same codes (``Encoded.of``), so this
-encoding is the only equality an in-process miner uses.
-
-A pandas frame is counted with ``drop_duplicates``: an independent
-reference for tests and the benchmark's correctness gate. It counts
-None apart from NaN in an object column, but it sees Spark data through
-``toPandas()``, which maps NULL and NaN in a float column to the same
-NaN, so on such columns it is no reference.
+in Spark, a NULL key matches nothing. HyFD and FastFDs read their whole
+instance as the same codes (``Encoded.of``). Tests and the benchmark's
+gate check both kernels against ``bruteforce.ReferenceCounter``.
 """
 from __future__ import annotations
 
@@ -55,7 +45,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark.sql import DataFrame
@@ -74,31 +63,27 @@ _BATCH = 32
 # tens of MB of Arrow data and 8 MB of int32 codes.
 _COLLECT_CELLS = 2_000_000
 _INT64_MAX = 2**63 - 1
-_NONE = object()  # stands for None in a pandas object column
 
 
 class FDEngine:
     """Memoized distinct counts over one instance.
 
-    The instance's type picks the path: a Spark DataFrame is counted by
-    one of the two kernels above, an ``Encoded`` instance in process, a
-    pandas frame by ``drop_duplicates``. ``n_rows`` is the exact row
-    count if the caller knows it: the kernel is then picked without
-    reading the instance.
+    A Spark DataFrame is counted by one of the two kernels above, an
+    ``Encoded`` instance in process. ``n_rows`` is the exact row count if
+    the caller knows it: the kernel is then picked without reading the
+    instance.
     """
 
-    def __init__(
-        self, df: DataFrame | pd.DataFrame | Encoded, *, n_rows: int | None = None
-    ):
-        if isinstance(df, pd.DataFrame):
-            df = _none_apart(df)
+    def __init__(self, df: DataFrame | Encoded, *, n_rows: int | None = None):
+        if not isinstance(df, (DataFrame, Encoded)):
+            raise TypeError(f"not a Spark DataFrame or Encoded: {type(df).__name__}")
         # The in-process instance; for a Spark one it is collected, or
         # found to stay on Spark (None), on first use.
         self._encoded: Encoded | None = None
         self._picked = isinstance(df, Encoded)
         if self._picked:
             self._encoded, n_rows, df = df, df.n_rows, None
-        self.df = df  # the Spark or pandas instance; None if built in process
+        self.df = df  # the Spark instance; None if built in process
         self._cache: dict[frozenset[str], int] = {}
         self._nrows: int | None = n_rows  # pre-known row count skips a job
         self.jobs = 0  # number of Spark jobs issued
@@ -132,30 +117,18 @@ class FDEngine:
 
     # -- row count ---------------------------------------------------------
     def n_rows(self) -> int:
-        if self._nrows is None:
-            if isinstance(self.df, pd.DataFrame):
-                self._nrows = len(self.df)
-            elif self.encoded() is None:
-                self._nrows = self.df.count()
-                self.jobs += 1
+        if self._nrows is None and self.encoded() is None:
+            self._nrows = self.df.count()
+            self.jobs += 1
         return self._nrows
 
     # -- distinct counts ---------------------------------------------------
     def prefetch(self, attr_sets: Iterable[frozenset[str]]) -> None:
         """Compute and cache distinct counts for all given attribute sets,
         batching uncached ones into as few jobs as possible."""
-        todo = []
-        seen = set()
-        for s in attr_sets:
-            s = frozenset(s)
-            if s and s not in self._cache and s not in seen:
-                todo.append(s)
-                seen.add(s)
+        fresh = (s for s in map(frozenset, attr_sets) if s and s not in self._cache)
+        todo = list(dict.fromkeys(fresh))
         if not todo:
-            return
-        if isinstance(self.df, pd.DataFrame):
-            for s in todo:
-                self._cache[s] = len(self.df.drop_duplicates(subset=sorted(s)).index)
             return
         enc = self.encoded()
         if enc is not None:
@@ -177,9 +150,8 @@ class FDEngine:
 
     def distinct_count(self, attrs: Iterable[str]) -> int:
         s = frozenset(attrs)
-        if not s:
-            # |distinct(∅)| is 1 on a non-empty instance, 0 on an empty one.
-            return 1 if self.n_rows() > 0 else 0
+        if not s:  # |distinct(∅)| is 1 on a non-empty instance, 0 on an empty one
+            return min(self.n_rows(), 1)
         if s not in self._cache:
             self.prefetch([s])
         return self._cache[s]
@@ -192,11 +164,7 @@ class FDEngine:
     def check_fds(self, fds: Iterable[FD]) -> dict[FD, bool]:
         """Validate many FDs with batched jobs."""
         fds = list(fds)
-        wanted: list[frozenset[str]] = []
-        for d in fds:
-            wanted.append(d.lhs_set())
-            wanted.append(d.attrs())
-        self.prefetch(w for w in wanted if w)
+        self.prefetch(s for d in fds for s in (d.lhs_set(), d.attrs()))
         return {d: self.holds(d.lhs_set(), d.rhs) for d in fds}
 
 
@@ -215,17 +183,6 @@ def _row_bound(df: DataFrame) -> int | None:
         plan = plan.child()
     count = plan.stats().rowCount()
     return int(count.get()) if count.isDefined() else None
-
-
-def _none_apart(pdf: pd.DataFrame) -> pd.DataFrame:
-    """``pdf`` with None in an object column replaced by a stand-in.
-    ``drop_duplicates`` over several columns takes None and NaN there for
-    one value, and over one column for two; with the stand-in both count
-    them apart, as Spark does."""
-    obj = [c for c in pdf.columns if pdf[c].dtype == object and pdf[c].isna().any()]
-    if not obj:
-        return pdf
-    return pdf.assign(**{c: pdf[c].map(lambda v: _NONE if v is None else v) for c in obj})
 
 
 @dataclass
@@ -273,15 +230,13 @@ class Encoded:
         )
 
     @classmethod
-    def of(cls, inst: DataFrame | pd.DataFrame, attrs: Sequence[str]) -> Encoded:
+    def of(cls, inst: DataFrame | pa.Table, attrs: Sequence[str]) -> Encoded:
         """The whole instance over ``attrs``, collected (one Spark job for
-        a Spark instance) and encoded, with no dictionaries. A pandas
-        column is read as it is: None is NULL and NaN is NaN, as the
-        pandas path counts them. A nested column raises."""
-        if isinstance(inst, pd.DataFrame):
-            table = pa.table({a: pa.array(inst[a], from_pandas=False) for a in attrs})
-        else:
-            table = inst.select(*attrs).toArrow()
+        a Spark instance) and encoded, with no dictionaries. A nested
+        column raises."""
+        table = inst.select(list(attrs))
+        if isinstance(table, DataFrame):
+            table = table.toArrow()
         enc = cls.from_arrow(table)
         enc.keep_dicts(frozenset())
         return enc

@@ -18,7 +18,7 @@ can report a lower bound instead of hanging.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 
 from repro.fd.engine import Encoded
@@ -117,13 +117,13 @@ def _minimal_covers(
 
 
 def fastfds(
-    df: DataFrame | pd.DataFrame,
+    df: DataFrame | pa.Table,
     attrs=None,
     *,
     max_pairs: int | None = None,
 ) -> set[FD]:
     """All minimal FDs of the instance restricted to ``attrs``."""
-    attrs = list(attrs) if attrs is not None else list(df.columns)
+    attrs = list(attrs) if attrs is not None else list(df.schema.names)
     ag = agree_sets(Encoded.of(df, attrs).rows(attrs), max_pairs=max_pairs)
     k = len(attrs)
     full = frozenset(range(k))

@@ -21,7 +21,7 @@ minimal FD set.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 
 from repro.fd.engine import Encoded, FDEngine
@@ -98,9 +98,9 @@ def _violating_pair(
     return int(order[hit[0]]), int(order[hit[0] + 1])
 
 
-def hyfd(df: DataFrame | pd.DataFrame, attrs=None) -> set[FD]:
+def hyfd(df: DataFrame | pa.Table, attrs=None) -> set[FD]:
     """All minimal FDs of the instance restricted to ``attrs``."""
-    attrs = sorted(attrs) if attrs is not None else sorted(df.columns)
+    attrs = sorted(attrs) if attrs is not None else sorted(df.schema.names)
     enc = Encoded.of(df, attrs)
     rows = enc.rows(attrs)
     engine = FDEngine(enc)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import uuid
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
+from repro.fd.engine import Encoded, FDEngine
 from repro.fd.model import FD
 
 
@@ -16,37 +18,41 @@ def random_table(
     cards=(2, 3, 4, 6),
     derived: bool = True,
     with_nulls: bool = False,
-) -> pd.DataFrame:
+) -> pa.Table:
     """A small random low-cardinality table; ``derived`` adds a column
-    functionally determined by two others, ``with_nulls`` injects NaNs."""
+    functionally determined by two others, ``with_nulls`` turns one
+    column into doubles, NULL in a fifth of its rows."""
     g = np.random.default_rng(seed)
-    pdf = pd.DataFrame(
-        {c: g.integers(0, k, n) for c, k in zip("abcd", cards)}
-    )
+    cols = {c: g.integers(0, k, n) for c, k in zip("abcd", cards)}
     if derived:
-        pdf["e"] = pdf["a"] * 10 + pdf["c"]
+        cols["e"] = cols["a"] * 10 + cols["c"]
     if with_nulls:
-        col = pdf.columns[int(g.integers(0, len(pdf.columns)))]
-        pdf[col] = pdf[col].astype("float64")
-        pdf.loc[pdf.sample(frac=0.2, random_state=seed).index, col] = np.nan
-    return pdf
+        col = list(cols)[int(g.integers(0, len(cols)))]
+        null = np.zeros(n, bool)
+        null[np.random.RandomState(seed).choice(n, round(0.2 * n), replace=False)] = True
+        cols[col] = pa.array(cols[col].astype("float64"), mask=null)
+    return pa.table(cols)
 
 
-def random_join_pair(seed: int, n_l: int = 35, n_r: int = 12):
+def random_join_pair(seed: int, n_l: int = 35, n_r: int = 12) -> tuple[pa.Table, pa.Table]:
     """Two joinable tables with engineered slack: the left has keys the
     right lacks (tuple loss) and the right has an FD chain for inference."""
     g = np.random.default_rng(seed)
-    L = pd.DataFrame(
-        {
-            "k": g.integers(0, n_r + 3, n_l),
-            "a": g.integers(0, 3, n_l),
-            "b": g.integers(0, 4, n_l),
-        }
-    )
-    L["c"] = L["k"] % 3
-    R = pd.DataFrame({"k": np.arange(0, n_r), "x": g.integers(0, 3, n_r)})
-    R["y"] = R["x"] * 2 + 1
+    k = g.integers(0, n_r + 3, n_l)
+    L = pa.table({"k": k, "a": g.integers(0, 3, n_l), "b": g.integers(0, 4, n_l), "c": k % 3})
+    x = g.integers(0, 3, n_r)
+    R = pa.table({"k": np.arange(0, n_r), "x": x, "y": x * 2 + 1})
     return L, R
+
+
+def semijoin(left: pa.Table, right: pa.Table, key: str = "k") -> pa.Table:
+    """The rows of ``left`` whose ``key`` is in ``right``."""
+    return left.filter(pc.is_in(left[key], value_set=right[key].combine_chunks()))
+
+
+def in_process(table: pa.Table) -> FDEngine:
+    """An engine that counts ``table`` on the in-process kernel."""
+    return FDEngine(Encoded.of(table, table.column_names))
 
 
 def fdset(*items: str) -> set[FD]:

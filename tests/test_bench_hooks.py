@@ -2,11 +2,11 @@
 functions and engine attributes of the program from outside. A rename
 must fail here, in Tier-1, rather than only in the benchmark's own
 self-check."""
-import pandas as pd
+import pyarrow as pa
 
 from perfbench.spans import STAGE_FUNCS, Tracer
 from repro.core.infine import run_infine
-from repro.fd.engine import FDEngine
+from repro.fd.engine import Encoded, FDEngine
 from repro.views.spec import BaseRel, Join, Select
 from tests.helpers import random_join_pair
 
@@ -21,7 +21,7 @@ def test_tracer_finds_and_restores_every_name():
 
 
 def test_engine_exposes_what_the_tracer_reads():
-    e = FDEngine(pd.DataFrame({"a": [1]}))
+    e = FDEngine(Encoded.of(pa.table({"a": [1]}), ["a"]))
     assert e._cache == {} and e.jobs == 0
 
 

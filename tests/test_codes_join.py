@@ -181,9 +181,9 @@ class TestRandomTrees:
 class TestStaysOnSpark:
     def test_join_above_cap_stays_on_spark(self, spark, monkeypatch):
         L, R = random_join_pair(3)
-        n_join = len(L.merge(R, on="k"))
-        cap = 4 * len(L) + 1  # L (4 columns) and R (3) fit, L ⋈ R (6) does not
-        assert len(R) <= (cap - 1) // 3 and n_join > (cap - 1) // 6
+        n_join = L.join(R, "k", join_type="inner").num_rows
+        cap = 4 * L.num_rows + 1  # L (4 columns) and R (3) fit, L ⋈ R (6) does not
+        assert R.num_rows <= (cap - 1) // 3 and n_join > (cap - 1) // 6
         monkeypatch.setattr(engine_mod, "_COLLECT_CELLS", cap)
         seen = []
 
@@ -196,7 +196,7 @@ class TestStaysOnSpark:
         spec = Join(BaseRel("L"), BaseRel("R"), on=("k",))
         res = run_infine(tables, spec)
         assert seen == [False]
-        assert res.fds == brute_force_fds(spec.instance(tables).toPandas())
+        assert res.fds == brute_force_fds(spec.instance(tables).toArrow())
 
     def test_key_types_differ(self, spark):
         left = spark.createDataFrame([(1, 0)], "k long, a long")

@@ -1,6 +1,7 @@
 """Unit tests for the InFine component algorithms (Alg. 2-5)."""
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import repro.core.join_upstaged as join_upstaged
@@ -11,7 +12,7 @@ from repro.core.selection_fds import selection_upstaged
 from repro.fd.bruteforce import brute_force_fds
 from repro.fd.engine import FDEngine
 from repro.fd.model import FD, by_rhs, has_subset_fd
-from tests.helpers import fdset
+from tests.helpers import fdset, semijoin
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def join_case(spark):
     - a -> k on the reduced L (a is unique there) enables inference
     - R: x -> y (base), k -> x,y (key)
     """
-    L = pd.DataFrame(
+    L = pa.table(
         {
             "k": [0, 1, 2, 3, 9],
             "a": [10, 11, 12, 13, 10],
@@ -30,8 +31,7 @@ def join_case(spark):
             "v": [5, 6, 5, 6, 7],
         }
     )
-    R = pd.DataFrame({"k": [0, 1, 2, 3], "x": [0, 1, 0, 1]})
-    R["y"] = R["x"] * 3
+    R = pa.table({"k": [0, 1, 2, 3], "x": [0, 1, 0, 1], "y": [0, 3, 0, 3]})
     sL, sR = spark.createDataFrame(L), spark.createDataFrame(R)
     join = sL.join(sR, on=["k"], how="inner")
     return L, R, sL, sR, join
@@ -39,20 +39,20 @@ def join_case(spark):
 
 class TestSelectionFDs:
     def test_no_filtering_no_mining(self, spark):
-        pdf = pd.DataFrame({"a": [1, 2], "b": [3, 4]})
-        e = FDEngine(spark.createDataFrame(pdf), n_rows=2)
+        tab = pa.table({"a": [1, 2], "b": [3, 4]})
+        e = FDEngine(spark.createDataFrame(tab), n_rows=2)
         assert selection_upstaged(e, 2, frozenset("ab"), fdset("a->b")) == set()
 
     def test_upstaged_after_filter(self, spark):
-        pdf = pd.DataFrame({"a": [0, 0, 1], "b": [5, 6, 7]})
-        sel = spark.createDataFrame(pdf).filter("b <> 6")
+        tab = pa.table({"a": [0, 0, 1], "b": [5, 6, 7]})
+        sel = spark.createDataFrame(tab).filter("b <> 6")
         e = FDEngine(sel)
         out = selection_upstaged(e, 3, frozenset("ab"), set())
         assert FD(["a"], "b") in out
 
     def test_known_pruned(self, spark):
-        pdf = pd.DataFrame({"a": [0, 1], "b": [5, 7], "c": [1, 1]})
-        e = FDEngine(spark.createDataFrame(pdf))
+        tab = pa.table({"a": [0, 1], "b": [5, 7], "c": [1, 1]})
+        e = FDEngine(spark.createDataFrame(tab))
         out = selection_upstaged(e, 5, frozenset("abc"), fdset("a->b", "->c"))
         assert FD(["a"], "b") not in out and FD([], "c") not in out
 
@@ -62,7 +62,7 @@ class TestJoinUpstaged:
         L, R, sL, sR, join = join_case
         fds = brute_force_fds(L)
         out = process_side(
-            FDEngine(sL), fds, FDEngine(join), frozenset(L.columns),
+            FDEngine(sL), fds, FDEngine(join), frozenset(L.column_names),
             loses=True, padded=False,
         )
         assert FD(["flag"], "v") in out.upstaged
@@ -73,15 +73,15 @@ class TestJoinUpstaged:
         fds = brute_force_fds(R)
         side, joined = FDEngine(sR), FDEngine(join)
         out = process_side(
-            side, fds, joined, frozenset(R.columns), loses=False, padded=False,
+            side, fds, joined, frozenset(R.column_names), loses=False, padded=False,
         )
         assert out.kept == fds and not out.upstaged
         assert side.jobs == joined.jobs == 0
 
     def test_padded_validation_drops_broken_fd(self, spark):
         # left join pads right attrs with NULLs; rhs x has a NULL vs value
-        L = pd.DataFrame({"k": [1, 2], "a": [0, 0]})
-        R = pd.DataFrame({"k": [1], "x": [5], "w": [1]})
+        L = pa.table({"k": [1, 2], "a": [0, 0]})
+        R = pa.table({"k": [1], "x": [5], "w": [1]})
         sL, sR = spark.createDataFrame(L), spark.createDataFrame(R)
         join = sL.join(sR, on=["k"], how="left")
         # claim const-x on R ( -> x ) — broken by padding in the view
@@ -102,30 +102,31 @@ class TestJoinUpstaged:
         # L loses k=9: four distinct L tuples on the join, five on L.
         side, joined = FDEngine(sL), FDEngine(join)
         process_side(
-            side, set(), joined, frozenset(L.columns), loses=True, padded=False,
+            side, set(), joined, frozenset(L.column_names), loses=True, padded=False,
         )
-        assert mined == [frozenset(L.columns)]
+        assert mined == [frozenset(L.column_names)]
         assert side.jobs == joined.jobs == 1
         # Each R tuple meets two L tuples: the join has twice R's rows but
         # the same set of R tuples, so R gains no FD and is not mined.
-        L2 = spark.createDataFrame(pd.concat([L, L]).query("k != 9"))
+        both = pa.concat_tables([L, L])
+        L2 = spark.createDataFrame(both.filter(pc.not_equal(both["k"], 9)))
         join2 = L2.join(sR, on=["k"], how="inner")
         side, joined = FDEngine(sR), FDEngine(join2)
         process_side(
-            side, set(), joined, frozenset(R.columns), loses=True, padded=False,
+            side, set(), joined, frozenset(R.column_names), loses=True, padded=False,
         )
         assert joined.n_rows() == 2 * side.n_rows()
-        assert mined == [frozenset(L.columns)]
+        assert mined == [frozenset(L.column_names)]
 
 
 class TestInferFDs:
     def test_transitive_inference(self, join_case):
         L, R, sL, sR, join = join_case
         engine = FDEngine(join)
-        d_left = brute_force_fds(L[L.k.isin(R.k)])
+        d_left = brute_force_fds(semijoin(L, R))
         d_right = brute_force_fds(R)
         out = infer_join_fds(
-            engine, frozenset(["k"]), frozenset(L.columns), frozenset(R.columns),
+            engine, frozenset(["k"]), frozenset(L.column_names), frozenset(R.column_names),
             d_left, d_right,
         )
         # a -> k on reduced L; k -> x,y on R  =>  a -> x, a -> y
@@ -135,7 +136,7 @@ class TestInferFDs:
         L, R, sL, sR, join = join_case
         engine = FDEngine(join)
         out = infer_join_fds(
-            engine, frozenset(["k"]), frozenset(L.columns), frozenset(R.columns),
+            engine, frozenset(["k"]), frozenset(L.column_names), frozenset(R.column_names),
             set(), fdset("x->y", "k->x", "k->y"),
         )
         # K -> b inferred FDs are cross-table: k -> x, k -> y are
@@ -145,12 +146,12 @@ class TestInferFDs:
     @pytest.mark.parametrize("how", ["inner", "left", "right", "full"])
     def test_refine_finds_smaller_lhs(self, spark, how):
         # raw inference yields (a,b) -> x but a alone works on the join
-        L = pd.DataFrame({"k": [0, 1, 2, 3], "a": [0, 1, 2, 3], "b": [0, 0, 1, 1]})
-        R = pd.DataFrame({"k": [0, 1, 2, 3], "x": [4, 5, 6, 7]})
+        L = pa.table({"k": [0, 1, 2, 3], "a": [0, 1, 2, 3], "b": [0, 0, 1, 1]})
+        R = pa.table({"k": [0, 1, 2, 3], "x": [4, 5, 6, 7]})
         join = spark.createDataFrame(L).join(spark.createDataFrame(R), on=["k"], how=how)
         out = infer_join_fds(
-            FDEngine(join), frozenset(["k"]), frozenset(L.columns),
-            frozenset(R.columns),
+            FDEngine(join), frozenset(["k"]), frozenset(L.column_names),
+            frozenset(R.column_names),
             fdset("a,b->k"), fdset("k->x"),
         )
         assert FD(["a"], "x") in out
@@ -170,7 +171,7 @@ class TestInferFDs:
         sL = spark.createDataFrame(L, "k long, a long, b long")
         sR = spark.createDataFrame(R, "k long, x long, y long")
         join = sL.join(sR, on=["k"], how=how)
-        jp = join.toPandas()
+        jp = join.toArrow()
         atts_l, atts_r = frozenset(sL.columns), frozenset(sR.columns)
         # Each side's complete FD set on the join, as InFine passes it.
         fds_l, fds_r = brute_force_fds(jp, atts_l), brute_force_fds(jp, atts_r)
@@ -185,38 +186,38 @@ class TestInferFDs:
 
 class TestMineJoinFDs:
     def test_theorem3_counterexample_found(self, spark):
-        L = pd.DataFrame({"k": [0, 1, 1, 2], "A": [0, 0, 1, 2]})
-        R = pd.DataFrame({"k": [0, 1, 1, 2], "Ap": [0, 0, 1, 1], "b": [0, 0, 1, 0]})
+        L = pa.table({"k": [0, 1, 1, 2], "A": [0, 0, 1, 2]})
+        R = pa.table({"k": [0, 1, 1, 2], "Ap": [0, 0, 1, 1], "b": [0, 0, 1, 0]})
         join = spark.createDataFrame(L).join(spark.createDataFrame(R), on=["k"])
         d_l = brute_force_fds(L)
         d_r = brute_force_fds(R)
         out = mine_join_fds(
-            FDEngine(join), frozenset(["k"]), frozenset(L.columns),
-            frozenset(R.columns), d_l, d_r, known=d_l | d_r,
+            FDEngine(join), frozenset(["k"]), frozenset(L.column_names),
+            frozenset(R.column_names), d_l, d_r, known=d_l | d_r,
         )
         assert FD(["A", "Ap"], "b") in out
 
     def test_skips_when_one_side_is_only_K(self, spark):
         # every candidate lies on the left side, so Theorem 4 vetoes every
         # rhs (K too) with the maximal lhs: nothing is counted
-        L = pd.DataFrame({"k": [0, 0, 1, 1], "a": [0, 1, 0, 1]})
-        R = pd.DataFrame({"k": [0, 1, 1]})
+        L = pa.table({"k": [0, 0, 1, 1], "a": [0, 1, 0, 1]})
+        R = pa.table({"k": [0, 1, 1]})
         join = spark.createDataFrame(L).join(spark.createDataFrame(R), on=["k"])
         e = FDEngine(join)
         d_l = brute_force_fds(L)
         out = mine_join_fds(
-            e, frozenset(["k"]), frozenset(L.columns), frozenset(R.columns),
+            e, frozenset(["k"]), frozenset(L.column_names), frozenset(R.column_names),
             d_l, set(), known=d_l,
         )
         assert out == set() and e.jobs == 0
 
     def test_single_side_candidates_excluded(self, join_case):
         L, R, sL, sR, join = join_case
-        d_l = brute_force_fds(L[L.k.isin(R.k)])
+        d_l = brute_force_fds(semijoin(L, R))
         d_r = brute_force_fds(R)
         out = mine_join_fds(
-            FDEngine(join), frozenset(["k"]), frozenset(L.columns),
-            frozenset(R.columns), d_l, d_r, known=d_l | d_r,
+            FDEngine(join), frozenset(["k"]), frozenset(L.column_names),
+            frozenset(R.column_names), d_l, d_r, known=d_l | d_r,
         )
         for d in out:  # every mined FD must straddle both sides
             s = d.attrs() - {"k"}

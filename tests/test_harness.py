@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from perfbench.config import SMOKE
 from repro.datasets.pte import pte_tables
 from repro.datasets.queries import all_queries
 from repro.fd.fastfds import PairBudgetExceeded
@@ -12,6 +13,8 @@ from repro.harness.runtime import _measured, format_runtime, runtime_rows
 from repro.harness.straightforward import straightforward
 from repro.harness.table1 import format_table1, table1_rows
 from repro.harness.table3 import format_table3, table3_rows
+from repro.views.spec import BaseRel
+from tests.helpers import fdset
 
 
 class TestTable1:
@@ -68,6 +71,26 @@ class TestStraightforward:
         got = straightforward(tables, q.spec, algo=algo)
         assert got.fds == ref.fds
         assert got.n_rows == ref.n_rows
+
+    @pytest.mark.parametrize("view", SMOKE, ids=lambda v: v.name)
+    def test_gate_reference_equals_spark(self, spark, view):
+        """The benchmark's gate calls the reference path as here; on its
+        self-check views it finds what FUN on Spark finds."""
+        with TableCache(spark, {view.dataset: view.scale}) as cache:
+            tables = cache(view.dataset)
+            (q,) = [q for q in all_queries() if q.name == view.name]
+            ref = straightforward(tables, q.spec, "fun", backend="pandas")
+            assert ref.fds == straightforward(tables, q.spec, "fun").fds
+
+    def test_gate_reference_keeps_null_apart_from_nan(self, spark):
+        # f -> g fails if NULL and NaN are one value; g -> f if -0.0 and
+        # 0.0 are two.
+        T = spark.createDataFrame(
+            [(None, 0), (float("nan"), 1), (-0.0, 2), (0.0, 2)], "f double, g long"
+        )
+        ref = straightforward({"T": T}, BaseRel("T"), "fun", backend="pandas")
+        assert ref.fds == straightforward({"T": T}, BaseRel("T"), "fun").fds
+        assert ref.fds == fdset("f->g", "g->f")
 
     def test_unknown_algo(self, spark):
         tables = pte_tables(spark, scale=0.05)

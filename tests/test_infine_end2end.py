@@ -3,20 +3,22 @@ materialized view (completeness + correctness, Theorems 5-6), and the
 provenance annotation must be internally consistent."""
 import contextlib
 
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import repro.core.infine as infine_mod
+import repro.core.join_upstaged as join_upstaged
 from repro.core import provenance as P
 from repro.core.infine import run_infine
 from repro.core.mine_join_fds import mine_join_fds
 from repro.fd.bruteforce import brute_force_fds
 from repro.views.spec import BaseRel, Join, Project, Select
-from tests.helpers import fdset, random_join_pair, random_table
+from tests.helpers import fdset, random_join_pair, random_table, semijoin
 
 
-def _tables(spark, **pdfs):
-    return {k: spark.createDataFrame(v) for k, v in pdfs.items()}
+def _tables(spark, **tabs):
+    return {k: spark.createDataFrame(v) for k, v in tabs.items()}
 
 
 class TestRandomizedEquivalence:
@@ -26,7 +28,7 @@ class TestRandomizedEquivalence:
         tables = _tables(spark, L=L, R=R)
         spec = Join(BaseRel("L"), BaseRel("R"), on=("k",))
         res = run_infine(tables, spec)
-        ref = brute_force_fds(spec.instance(tables).toPandas())
+        ref = brute_force_fds(spec.instance(tables).toArrow())
         assert res.fds == ref, (
             sorted(map(str, ref - res.fds)), sorted(map(str, res.fds - ref)))
 
@@ -37,7 +39,7 @@ class TestRandomizedEquivalence:
         tables = _tables(spark, L=L, R=R)
         spec = Join(BaseRel("L"), BaseRel("R"), on=("k",), how=how)
         res = run_infine(tables, spec)
-        ref = brute_force_fds(spec.instance(tables).toPandas())
+        ref = brute_force_fds(spec.instance(tables).toArrow())
         assert res.fds == ref, (how, sorted(map(str, ref ^ res.fds)))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -46,7 +48,7 @@ class TestRandomizedEquivalence:
         tables = _tables(spark, L=L, R=R)
         spec = Join(BaseRel("L"), BaseRel("R"), on=("k",), how="semi")
         res = run_infine(tables, spec)
-        ref = brute_force_fds(spec.instance(tables).toPandas())
+        ref = brute_force_fds(spec.instance(tables).toArrow())
         assert res.fds == ref
 
     @pytest.mark.parametrize("seed", range(3))
@@ -55,7 +57,7 @@ class TestRandomizedEquivalence:
         tables = _tables(spark, L=L, R=R)
         spec = Select(Join(BaseRel("L"), BaseRel("R"), on=("k",)), "a < 2")
         res = run_infine(tables, spec)
-        ref = brute_force_fds(spec.instance(tables).toPandas())
+        ref = brute_force_fds(spec.instance(tables).toArrow())
         assert res.fds == ref
 
     @pytest.mark.parametrize("seed", range(3))
@@ -64,23 +66,21 @@ class TestRandomizedEquivalence:
         tables = _tables(spark, L=L, R=R)
         spec = Project(Join(BaseRel("L"), BaseRel("R"), on=("k",)), ("a", "c", "x", "y"))
         res = run_infine(tables, spec)
-        ref = brute_force_fds(spec.instance(tables).toPandas())
+        ref = brute_force_fds(spec.instance(tables).toArrow())
         assert res.fds == ref
         assert res.proj_attrs == {"a", "c", "x", "y"}
 
     @pytest.mark.parametrize("seed", range(2))
     def test_three_way_join(self, spark, seed):
         L, R = random_join_pair(seed + 50)
-        T = random_table(seed, n=8, cards=(3,), derived=False).rename(
-            columns={"a": "x"}
-        )
-        T["t"] = T["x"] * 7  # x -> t
+        x = random_table(seed, n=8, cards=(3,), derived=False)["a"]
+        T = pa.table({"x": x, "t": pc.multiply(x, 7)})  # x -> t
         tables = _tables(spark, L=L, R=R, T=T)
         spec = Join(
             Join(BaseRel("L"), BaseRel("R"), on=("k",)), BaseRel("T"), on=("x",)
         )
         res = run_infine(tables, spec)
-        ref = brute_force_fds(spec.instance(tables).toPandas())
+        ref = brute_force_fds(spec.instance(tables).toArrow())
         assert res.fds == ref, (sorted(map(str, ref ^ res.fds)))
 
 
@@ -128,7 +128,7 @@ class TestFullJoin:
     def _check(self, spark, spec, **tables):
         tables = {k: spark.createDataFrame(*v) for k, v in tables.items()}
         res = run_infine(tables, spec)
-        ref = brute_force_fds(spec.instance(tables).toPandas())
+        ref = brute_force_fds(spec.instance(tables).toArrow())
         assert res.fds == ref, (sorted(map(str, ref - res.fds)), sorted(map(str, res.fds - ref)))
         return res
 
@@ -152,6 +152,25 @@ class TestFullJoin:
             R=([(None, None, 1), (1, 0, 0), (3, 0, 0)], "m long, z long, y long"),
         )
         assert fdset("m,x->y", "m,y->x", "x,z->y") <= res.fds
+
+    def test_side_that_gains_nothing_is_not_mined(self, spark, monkeypatch):
+        """Every key matches, so neither side loses a tuple or has an
+        inherited FD broken by padding: every FD of a side's projection
+        of the join is implied by its kept FDs, and no side is mined."""
+        mined = []
+
+        def mine_fds(engine, cols, **kwargs):
+            mined.append(cols)
+            return real(engine, cols, **kwargs)
+
+        real = join_upstaged.mine_fds
+        monkeypatch.setattr(join_upstaged, "mine_fds", mine_fds)
+        self._check(
+            spark, Join(BaseRel("L"), BaseRel("R"), on=("k",), how="full"),
+            L=([(1, 10, 0), (2, 20, 0), (3, 30, 1)], "k long, a long, b long"),
+            R=([(1, 5), (2, 6), (3, 5)], "k long, x long"),
+        )
+        assert mined == []
 
 
 class TestNoCacheLeak:
@@ -194,10 +213,10 @@ class TestNoCacheLeak:
 
 class TestBaseCase:
     def test_single_relation(self, spark):
-        pdf = random_table(5, n=25)
-        tables = _tables(spark, T=pdf)
+        tab = random_table(5, n=25)
+        tables = _tables(spark, T=tab)
         res = run_infine(tables, BaseRel("T"))
-        assert res.fds == brute_force_fds(pdf)
+        assert res.fds == brute_force_fds(tab)
         assert all(t.type == P.BASE for t in res.triples)
         assert all(t.subquery == "T" for t in res.triples)
 
@@ -208,14 +227,14 @@ class TestProvenance:
         L, R = random_join_pair(3)
         tables = _tables(spark, L=L, R=R)
         spec = Join(BaseRel("L"), BaseRel("R"), on=("k",))
-        view = brute_force_fds(spec.instance(tables).toPandas())
-        L_red = L[L.k.isin(R.k)]
-        R_red = R[R.k.isin(L.k)]
+        view = brute_force_fds(spec.instance(tables).toArrow())
+        L_red = semijoin(L, R)
+        R_red = semijoin(R, L)
         return (
             run_infine(tables, spec),
             brute_force_fds(L), brute_force_fds(R),
             brute_force_fds(L_red), brute_force_fds(R_red),
-            frozenset(L.columns), frozenset(R.columns),
+            frozenset(L.column_names), frozenset(R.column_names),
         )
 
     def test_one_triple_per_fd(self, result):

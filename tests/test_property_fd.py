@@ -1,15 +1,16 @@
 """Property-based tests (hypothesis) for the pure FD machinery and the
-pandas-backend miners — no Spark needed."""
-import pandas as pd
+miners over Arrow tables — no Spark needed."""
+import pyarrow as pa
+import pyarrow.compute as pc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fd.bruteforce import brute_force_fds
-from repro.fd.engine import FDEngine
+from repro.fd.bruteforce import ReferenceCounter, brute_force_fds
 from repro.fd.fastfds import fastfds
 from repro.fd.hyfd import hyfd
 from repro.fd.lattice import mine_fds
 from repro.fd.model import FD, by_rhs, closure, has_subset_fd, minimize
+from tests.helpers import in_process
 
 ATTRS = ["a", "b", "c", "d"]
 
@@ -25,28 +26,25 @@ def tables(draw, max_rows=14):
                 st.integers(min_value=0, max_value=card), min_size=n, max_size=n
             )
         )
-    return pd.DataFrame(cols)
+    return pa.table(cols)
 
 
 # Values that one equality must tell apart (None, NaN) or merge (-0.0, 0.0).
-FLOATS = [float("nan"), -0.0, 0.0, 1.0]
+FLOATS = [None, float("nan"), -0.0, 0.0, 1.0]
 
 
 @st.composite
 def null_tables(draw, max_rows=12):
-    """Tables whose float and object columns mix None, NaN, -0.0 and 0.0
-    (a float64 column holds no None)."""
+    """Tables whose double columns mix NULL, NaN, -0.0 and 0.0."""
     n = draw(st.integers(min_value=1, max_value=max_rows))
     cols = {}
     for a in ATTRS:
-        kind = draw(st.sampled_from(["int", "float", "object"]))
-        if kind == "int":
-            vals = st.integers(min_value=0, max_value=2)
+        if draw(st.booleans()):
+            vals, typ = st.integers(min_value=0, max_value=2), pa.int64()
         else:
-            vals = st.sampled_from(FLOATS + ([None] if kind == "object" else []))
-        col = draw(st.lists(vals, min_size=n, max_size=n))
-        cols[a] = pd.Series(col, dtype={"int": "int64", "float": "float64"}.get(kind, object))
-    return pd.DataFrame(cols)
+            vals, typ = st.sampled_from(FLOATS), pa.float64()
+        cols[a] = pa.array(draw(st.lists(vals, min_size=n, max_size=n)), typ)
+    return pa.table(cols)
 
 
 @st.composite
@@ -67,39 +65,40 @@ def fd_sets(draw):
 class TestMinerProperties:
     @settings(max_examples=40, deadline=None)
     @given(tables())
-    def test_lattice_equals_bruteforce(self, pdf):
-        assert mine_fds(FDEngine(pdf), ATTRS) == brute_force_fds(pdf)
+    def test_lattice_equals_bruteforce(self, tab):
+        assert mine_fds(in_process(tab), ATTRS) == brute_force_fds(tab)
 
     @settings(max_examples=25, deadline=None)
     @given(tables())
-    def test_fastfds_equals_bruteforce(self, pdf):
-        assert fastfds(pdf) == brute_force_fds(pdf)
+    def test_fastfds_equals_bruteforce(self, tab):
+        assert fastfds(tab) == brute_force_fds(tab)
 
     @settings(max_examples=40, deadline=None)
     @given(null_tables())
-    def test_baselines_equal_engine_on_nulls(self, pdf):
+    def test_baselines_equal_engine_on_nulls(self, tab):
         """HyFD and FastFDs use the engine's equality: NULL equals NULL,
         NaN equals NaN, -0.0 equals 0.0, and NULL differs from NaN. The
-        reference is FUN on the pandas engine, which counts None apart
-        from NaN."""
-        fun = mine_fds(FDEngine(pdf), ATTRS, free_set_pruning=True)
-        assert hyfd(pdf) == fun
-        assert fastfds(pdf) == fun
+        reference is FUN on ``ReferenceCounter``, and FUN on the
+        in-process kernel agrees with it."""
+        fun = mine_fds(ReferenceCounter(tab), ATTRS, free_set_pruning=True)
+        assert mine_fds(in_process(tab), ATTRS, free_set_pruning=True) == fun
+        assert hyfd(tab) == fun
+        assert fastfds(tab) == fun
 
     @settings(max_examples=25, deadline=None)
     @given(tables())
-    def test_every_mined_fd_holds(self, pdf):
-        e = FDEngine(pdf)
+    def test_every_mined_fd_holds(self, tab):
+        e = in_process(tab)
         for d in mine_fds(e, ATTRS):
             assert e.holds(d.lhs_set(), d.rhs)
 
     @settings(max_examples=25, deadline=None)
     @given(tables())
-    def test_selection_preserves_fds(self, pdf):
+    def test_selection_preserves_fds(self, tab):
         """Theorem 1 (σ case) as a property: filtering rows never
         invalidates an FD."""
-        before = brute_force_fds(pdf)
-        sel = pdf[pdf["a"] <= 1]
+        before = brute_force_fds(tab)
+        sel = tab.filter(pc.less_equal(tab["a"], 1))
         after = brute_force_fds(sel)
         for d in before:
             assert d.rhs in closure(d.lhs, after)

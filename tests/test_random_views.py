@@ -7,6 +7,11 @@ Each tree joins three of five small tables (0-12 rows, NULL in about
 random operator of all five at each level and the nested join on either
 side. Every node gets a σ with probability 0.3, and a π keeps a side's
 join key while it drops the other level's key.
+
+The float trees give every table one more column, a double ``f<i>``
+drawn from NULL, NaN, -0.0, 0.0 and 1.5 and kept through every π: NULL
+and NaN are two values, and -0.0 and 0.0 one, to InFine on both kernels
+and to the reference.
 """
 import numpy as np
 import pyarrow as pa
@@ -21,28 +26,32 @@ HOWS = ("inner", "left", "right", "full", "semi")
 N_TABLES = 5
 P_NULL = 0.15
 P_SELECT = 0.3
-SCHEMAS = {f"T{i}": ("k", "c", f"v{i}", f"w{i}") for i in range(N_TABLES)}
+SCHEMAS = {f"T{i}": ("k", "c", f"v{i}", f"w{i}", f"f{i}") for i in range(N_TABLES)}
 LONGS = {"k"} | {f"v{i}" for i in range(N_TABLES)}
+FLOATS = [None, float("nan"), -0.0, 0.0, 1.5]
 
 
 def _column(g, n: int, values: list) -> list:
     return [None if g.random() < P_NULL else values[g.integers(len(values))] for _ in range(n)]
 
 
-def _tables(g) -> dict[str, pa.Table]:
+def _tables(g, floats: bool) -> dict[str, pa.Table]:
     """Tables ``T0``..``T4`` over a long key ``k``, a string key ``c`` and
-    value columns ``v<i>`` (long) and ``w<i>`` (string)."""
-    return {
-        f"T{i}": pa.table(
-            {
-                "k": pa.array(_column(g, n, [0, 1, 2, 3]), pa.int64()),
-                "c": pa.array(_column(g, n, ["a", "b", "c"]), pa.string()),
-                f"v{i}": pa.array(_column(g, n, [0, 1, 2]), pa.int64()),
-                f"w{i}": pa.array(_column(g, n, ["x", "y"]), pa.string()),
-            }
-        )
-        for i, n in enumerate(g.integers(0, 13, N_TABLES))
-    }
+    value columns ``v<i>`` (long) and ``w<i>`` (string), and ``f<i>``
+    (double) if ``floats``."""
+    tables = {}
+    for i, n in enumerate(g.integers(0, 13, N_TABLES)):
+        cols = {
+            "k": pa.array(_column(g, n, [0, 1, 2, 3]), pa.int64()),
+            "c": pa.array(_column(g, n, ["a", "b", "c"]), pa.string()),
+            f"v{i}": pa.array(_column(g, n, [0, 1, 2]), pa.int64()),
+            f"w{i}": pa.array(_column(g, n, ["x", "y"]), pa.string()),
+        }
+        if floats:
+            drawn = g.integers(0, len(FLOATS), n)
+            cols[f"f{i}"] = pa.array([FLOATS[j] for j in drawn], pa.float64())
+        tables[f"T{i}"] = pa.table(cols)
+    return tables
 
 
 def _maybe_select(g, spec):
@@ -56,13 +65,15 @@ def _maybe_select(g, spec):
     return Select(spec, pred[g.integers(len(pred))])
 
 
-def _leaf(g, name: str, keep: str, drop: bool):
+def _leaf(g, name: str, keep: str, drop: bool, floats: bool):
     """Table ``name``, without the key another level joins on if ``drop``."""
     spec = _maybe_select(g, BaseRel(name))
-    return Project(spec, (keep, f"v{name[1:]}", f"w{name[1:]}")) if drop else spec
+    i = name[1:]
+    cols = (keep, f"v{i}", f"w{i}") + ((f"f{i}",) if floats else ())
+    return Project(spec, cols) if drop else spec
 
 
-def _random_tree(g):
+def _random_tree(g, floats: bool):
     """A two-level join tree over three distinct tables: the nested join
     on one key, the outer join on the other."""
     x, y, z = (f"T{i}" for i in g.permutation(N_TABLES)[:3])
@@ -70,24 +81,41 @@ def _random_tree(g):
     how1, how2 = HOWS[g.integers(len(HOWS))], HOWS[g.integers(len(HOWS))]
     # One nested side brings k2 up; a semijoin outputs its left side only.
     up = 0 if how1 == "semi" or g.random() < 0.5 else 1
-    nested = Join(_leaf(g, x, k1, up != 0), _leaf(g, y, k1, up != 1), on=(k1,), how=how1)
+    nested = Join(
+        _leaf(g, x, k1, up != 0, floats), _leaf(g, y, k1, up != 1, floats), on=(k1,), how=how1
+    )
     nested = _maybe_select(g, nested)
-    other = _leaf(g, z, k2, True)
+    other = _leaf(g, z, k2, True, floats)
     pair = (nested, other) if g.random() < 0.5 else (other, nested)
     return _maybe_select(g, Join(*pair, on=(k2,), how=how2))
 
 
-@pytest.mark.parametrize("seed", range(120))
-def test_random_tree(spark, seed):
+def _check(spark, seed: int, floats: bool) -> None:
     g = np.random.default_rng(seed)
-    arrow = _tables(g)
+    arrow = _tables(g, floats)
     tables = {name: spark.createDataFrame(t) for name, t in arrow.items()}
-    spec = _random_tree(g)
+    spec = _random_tree(g, floats)
     res = run_infine(tables, spec)
     view = spec.instance(tables)
-    ref = brute_force_fds(view.toPandas(), res.proj_attrs)
+    ref = brute_force_fds(view.toArrow(), res.proj_attrs)
     assert res.fds == ref, (
         spec.label(), sorted(map(str, ref - res.fds)), sorted(map(str, res.fds - ref))
     )
     assert len(res.triples) == len(res.fds)
     assert_equivalent(view, view_sql(spec), **arrow)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_random_tree(spark, seed):
+    _check(spark, seed, floats=False)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_random_float_tree(spark, seed):
+    _check(spark, seed, floats=True)
+
+
+@pytest.mark.usefixtures("spark_kernel")
+@pytest.mark.parametrize("seed", range(10))
+def test_random_float_tree_spark_kernel(spark, seed):
+    _check(spark, seed, floats=True)

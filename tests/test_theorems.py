@@ -2,17 +2,18 @@
 from itertools import combinations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from repro.fd.bruteforce import brute_force_fds
 from repro.fd.engine import FDEngine
 from repro.fd.model import FD, closure
-from tests.helpers import random_join_pair, random_table
+from tests.helpers import random_join_pair, random_table, semijoin
 
 
-def _join(L, R, k="k", how="inner"):
-    return L.merge(R, on=k, how=how)
+def _join(L, R):
+    return L.join(R, "k", join_type="inner")
 
 
 class TestTheorem1:
@@ -21,9 +22,9 @@ class TestTheorem1:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_selection_only_adds(self, seed):
-        pdf = random_table(seed, n=30)
-        d_before = brute_force_fds(pdf)
-        sel = pdf[pdf["a"] < 2]
+        tab = random_table(seed, n=30)
+        d_before = brute_force_fds(tab)
+        sel = tab.filter(pc.less(tab["a"], 2))
         d_after = brute_force_fds(sel)
         # every FD before still holds (may be non-minimal now)
         for d in d_before:
@@ -31,10 +32,10 @@ class TestTheorem1:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_projection_only_removes(self, seed):
-        pdf = random_table(seed + 10, n=30)
+        tab = random_table(seed + 10, n=30)
         cols = ["a", "b", "c"]
-        d_full = brute_force_fds(pdf)
-        d_proj = brute_force_fds(pdf[cols])
+        d_full = brute_force_fds(tab)
+        d_proj = brute_force_fds(tab.select(cols))
         # FDs of the projection are exactly the full FDs within the columns
         assert d_proj == {d for d in d_full if d.attrs() <= set(cols)}
 
@@ -44,7 +45,7 @@ class TestTheorem1:
         j = _join(L, R)
         d_join = brute_force_fds(j)
         # FDs of the semijoin-reduced sides persist in the join
-        for side, keep in ((L[L.k.isin(R.k)], L.columns), (R[R.k.isin(L.k)], R.columns)):
+        for side in (semijoin(L, R), semijoin(R, L)):
             for d in brute_force_fds(side):
                 assert d.rhs in closure(d.lhs, d_join), str(d)
 
@@ -52,12 +53,12 @@ class TestTheorem1:
 class TestLemma2Upstaged:
     def test_upstaged_by_tuple_removal(self):
         # violating tuple has no join partner -> FD becomes valid (Example 2)
-        L = pd.DataFrame(
+        L = pa.table(
             {"k": [1, 2, 9], "flag": [0, 1, 0], "v": [5, 6, 7]}
         )  # flag -> v violated only by row k=9
-        R = pd.DataFrame({"k": [1, 2], "w": [3, 3]})
+        R = pa.table({"k": [1, 2], "w": [3, 3]})
         assert FD(["flag"], "v") not in brute_force_fds(L)
-        reduced = L[L.k.isin(R.k)]
+        reduced = semijoin(L, R)
         assert FD(["flag"], "v") in brute_force_fds(reduced)
         assert FD(["flag"], "v") in brute_force_fds(_join(L, R))
 
@@ -131,10 +132,10 @@ class TestTheorem3Counterexample:
     Armstrong-derivable from the side FDs."""
 
     def L(self):
-        return pd.DataFrame({"k": [0, 1, 1, 2], "A": [0, 0, 1, 2]})
+        return pa.table({"k": [0, 1, 1, 2], "A": [0, 0, 1, 2]})
 
     def R(self):
-        return pd.DataFrame({"k": [0, 1, 1, 2], "Ap": [0, 0, 1, 1], "b": [0, 0, 1, 0]})
+        return pa.table({"k": [0, 1, 1, 2], "Ap": [0, 0, 1, 1], "b": [0, 0, 1, 0]})
 
     def test_join_fd_exists(self):
         j = _join(self.L(), self.R())

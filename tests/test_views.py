@@ -161,5 +161,5 @@ class TestValidation:
         sdfs, _ = tables
         spec = Join(BaseRel("L"), BaseRel("R", rename=(("x", "a"),)), on=("k",), how="semi")
         assert spec.proj(_schemas(sdfs)) == {"k", "a", "b"}
-        ref = brute_force_fds(spec.instance(sdfs).toPandas())
+        ref = brute_force_fds(spec.instance(sdfs).toArrow())
         assert run_infine(sdfs, spec).fds == ref
